@@ -545,7 +545,6 @@ SWEEP_OPTS = _COMMON + (
     Opt("lams", _grid, required=True, help="intensities: lo:hi:count or comma list"),
     Opt("trials", _int, 200, help="Monte Carlo trials per intensity (default 200)"),
     Opt("seed", _int, required=True, help="top-level seed"),
-    Opt("threads", _int, 1, help="worker threads (default 1)"),
     Opt("svg", flag=True, help="also write a plot"),
 )
 
@@ -558,7 +557,7 @@ def cmd_sweep(c) -> dict:
     rows = []
     for i, lam in enumerate(c["lams"]):
         est = crossing_probability(lam, c["k"], c["width"], height, c["trials"],
-                                   base.child("lam", i), threads=c["threads"])
+                                   base.child("lam", i))
         rows.append((float(lam), est))
     lines = ["lam,successes,trials,p_hat,ci_lo,ci_hi"]
     for lam, est in rows:
@@ -580,7 +579,6 @@ LAMBDA_C_OPTS = _COMMON + (
     Opt("lam-hi", float, help="upper end of the intensity range (default 6/k)"),
     Opt("corridor-height", float, help="corridor height (default width*k)"),
     Opt("seed", _int, required=True, help="top-level seed"),
-    Opt("threads", _int, 1, help="worker threads (default 1)"),
 )
 
 
@@ -593,8 +591,7 @@ def cmd_lambda_c(c) -> dict:
     res = estimate_lambda_c(c["k"], width_schedule=c["widths"], trials=c["trials"],
                             tol=c["tol"], stream=RngStream(c["seed"]),
                             lam_range=lam_range,
-                            corridor_height=c["corridor-height"],
-                            threads=c["threads"])
+                            corridor_height=c["corridor-height"])
     br = ["width,lo,hi,midpoint,conclusive,evaluations"]
     ev = ["width,lam,successes,trials,p_hat"]
     for rec in res.brackets:

@@ -12,14 +12,13 @@ bisection brackets the intensity where it passes one half.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .interpolators import Line
-from .randomsets import Poisson, RngStream, ensure_window, intersects_interval, realize
+from .randomsets import Poisson, RngStream, _gaps_meeting, ensure_window, realize
 
 
 class BracketNotFoundError(RuntimeError):
@@ -167,12 +166,14 @@ def build_lattice(lines: Sequence[Line], height_sites: int,
         rs = ensure_window(ln.realized, w_lo, w_hi)
         off = float(_parity(xs[c]))
         bounds = np.concatenate([4.0 * rows + off, [4.0 * (rows[-1] + 1) + off]])
-        if rs.values is not None:
-            idx = np.searchsorted(rs.values, bounds, side="left")
-            grid[c] = np.diff(idx) > 0
-        else:
-            for r in range(height_sites):
-                grid[c, r] = intersects_interval(rs, bounds[r], bounds[r + 1])
+        glo, ghi = _gaps_meeting(rs, w_lo, w_hi)
+        # Site [s0, s1) is closed iff one gap holds it.  Gaps are sorted and
+        # disjoint, so only the last gap starting below s0 can; it does iff
+        # it ends at or above s1, i.e. iff fewer gaps end below s1 than start
+        # below s0.
+        starts_below = np.searchsorted(glo, bounds[:-1], side="left")
+        ends_below = np.searchsorted(ghi, bounds[1:], side="left")
+        grid[c] = ends_below >= starts_below
     return SiteLattice(tuple(xs), i_lo, height_sites, grid)
 
 
@@ -231,27 +232,20 @@ def strip_lines(lam, k, width, height, stream, trial):
 
 
 def crossing_probability(lam: float, k: float, width: int, corridor_height: float,
-                         trials: int, stream: RngStream,
-                         threads: int = 1) -> McEstimate:
+                         trials: int, stream: RngStream) -> McEstimate:
     """Monte Carlo probability that a width-long Poisson strip is K-feasible.
 
     Per-trial substreams are pre-split from the given stream by trial index
-    (and by line index inside a trial), so results do not depend on thread
-    scheduling and rerunning any subset of trials reproduces its outcomes.
+    (and by line index inside a trial), so rerunning any subset of trials
+    reproduces its outcomes.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-
-    def run(t: int) -> bool:
+    successes = 0
+    for t in range(trials):
         lines = strip_lines(lam, k, width, corridor_height, stream, t)
-        return lipschitz_feasible(lines, k, (0.0, corridor_height)) is not None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            flags = list(ex.map(run, range(trials)))
-    else:
-        flags = [run(t) for t in range(trials)]
-    return McEstimate(successes=int(sum(flags)), trials=trials)
+        successes += lipschitz_feasible(lines, k, (0.0, corridor_height)) is not None
+    return McEstimate(successes=successes, trials=trials)
 
 
 @dataclass(frozen=True)
@@ -281,8 +275,7 @@ def estimate_lambda_c(k: float, width_schedule: Sequence[int] = (50, 100, 200),
                       trials: int = 400, tol: float = 0.1,
                       stream: Optional[RngStream] = None,
                       lam_range: Optional[tuple] = None,
-                      corridor_height: Optional[float] = None,
-                      threads: int = 1) -> LambdaCResult:
+                      corridor_height: Optional[float] = None) -> LambdaCResult:
     """Bracket the intensity where the crossing probability passes 1/2.
 
     Runs a bisection at each width in the schedule and reports every
@@ -304,8 +297,7 @@ def estimate_lambda_c(k: float, width_schedule: Sequence[int] = (50, 100, 200),
         def phat(lam):
             counter[0] += 1
             return crossing_probability(lam, k, int(width), height, trials,
-                                        wstream.child("eval", counter[0]),
-                                        threads=threads)
+                                        wstream.child("eval", counter[0]))
         evals = []
         lo, hi = float(lam_lo), float(lam_hi)
         e_lo = phat(lo)

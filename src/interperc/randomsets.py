@@ -8,8 +8,15 @@ A realization is a windowed view of a conceptually infinite set.  Content is
 a pure function of (model, stream, window): re-realizing with a larger window
 reproduces the original window's content bit for bit, so windows can be grown
 lazily.  Point models store sorted point values plus structural point ids;
-interval models store the open gaps of the window ("free intervals") and the
+interval models store the open holes of the window ("free intervals") and the
 set is everything in between.
+
+Every query reads the set through one view, its open gaps: for points the
+gaps between consecutive values (unbounded past the ends), for interval kinds
+the holes.  A gap end is a set point only while it lies inside the window;
+beyond it the line is not realized yet.  Two private helpers build that view
+at query time: _gap_at (the gap around one value) and _gaps_meeting (the gaps
+that meet an interval).
 """
 
 from __future__ import annotations
@@ -201,7 +208,8 @@ class RealizedSet:
 
     Treat instances as immutable; extend() returns a new value.  kind is
     "points" (sorted values plus structural ids) or "complement" (sorted
-    disjoint open holes; the set is the window minus the holes).
+    disjoint open holes; the set is the window minus the holes).  Queries
+    see either kind as its open gaps (see the module docstring).
     """
 
     __slots__ = ("model", "stream", "window", "values", "_ida", "_idb",
@@ -233,14 +241,8 @@ class RealizedSet:
 
     def contains_value(self, v: float) -> bool:
         """Exact membership of a float value in the set (bit comparison)."""
-        if self.values is not None:
-            i = np.searchsorted(self.values, v)
-            return i < len(self.values) and self.values[i] == v
-        lo, hi = self.window
-        if not (lo <= v <= hi):
-            return False
-        j = int(np.searchsorted(self.hole_lo, v, side="right")) - 1
-        return not (j >= 0 and self.hole_lo[j] < v < self.hole_hi[j])
+        a, b, _, _ = _gap_at(self, v)
+        return a == b
 
     def contains_id(self, pid: tuple) -> bool:
         """Membership by identity: the id must name a current element."""
@@ -429,22 +431,13 @@ def _realize_boolean(model, stream, window, initial_width):
     ell = model.arc_length
     # Any arc whose open interval meets the window starts in [lo - ell, hi].
     pts, _, _ = _poisson_arrays(1.0, stream, lo - ell, hi)
-    starts, ends = [], []
-    cur_s = cur_e = None
-    for p in pts:
-        if cur_s is None:
-            cur_s, cur_e = p, p + ell
-        elif p < cur_e:          # strict: touching arcs leave a set point
-            cur_e = p + ell
-        else:
-            starts.append(cur_s)
-            ends.append(cur_e)
-            cur_s, cur_e = p, p + ell
-    if cur_s is not None:
-        starts.append(cur_s)
-        ends.append(cur_e)
-    hlo = np.asarray(starts, dtype=np.float64)
-    hhi = np.asarray(ends, dtype=np.float64)
+    ends = pts + ell
+    # pts is sorted, so a run of overlapping arcs ends where an arc starts at
+    # or after the previous arc's end (strict: touching arcs leave a set point)
+    cut = np.ones(pts.size + 1, dtype=bool)
+    cut[1:-1] = pts[1:] >= ends[:-1]
+    hlo = pts[cut[:-1]]
+    hhi = ends[cut[1:]]
     m = (hhi > lo) & (hlo < hi)
     return RealizedSet(model, stream, window, None, None, None, "",
                        hole_lo=hlo[m], hole_hi=hhi[m],
@@ -477,6 +470,8 @@ def realize(model: LineModel, stream: RngStream, window: tuple,
 def from_points(points, window) -> RealizedSet:
     """Explicit point set for tests and hand examples.  Not extendable."""
     vals = np.sort(np.asarray(points, dtype=np.float64))
+    if vals.size and not (window[0] <= vals[0] and vals[-1] <= window[1]):
+        raise ValueError(f"points must lie in the window {window}")
     idx = np.arange(vals.size, dtype=np.int64)
     return RealizedSet(None, None, (float(window[0]), float(window[1])),
                        vals, idx, np.zeros(vals.size, dtype=np.int64), "ex")
@@ -504,20 +499,64 @@ def ensure_window(rs: RealizedSet, lo: float, hi: float) -> RealizedSet:
     return extend(rs, (min(lo, w0), max(hi, w1)))
 
 
-def _grow(rs, need_lo, need_hi, max_doublings, what):
+def _gap_at(rs, z):
+    """The gap of rs around z as (a, b, ia, ib), with a <= z <= b.
+
+    (a, b) is the open gap that holds z, or a == b == z when z is in the set
+    (a, b = -inf, inf when z is outside the window).  ia and ib index the
+    stored points a and b, or are None for interval kinds.
+    """
     w0, w1 = rs.window
-    width = w1 - w0
+    if not (w0 <= z <= w1):
+        return -math.inf, math.inf, None, None
+    if rs.values is not None:
+        v = rs.values
+        i = int(v.searchsorted(z))
+        b = float(v[i]) if i < len(v) else math.inf
+        if b == z:   # a stored point; "down" takes its last copy
+            return b, b, int(v.searchsorted(z, "right")) - 1, i
+        return (float(v[i - 1]) if i else -math.inf), b, i - 1, i
+    j = int(rs.hole_lo.searchsorted(z, "right")) - 1
+    if j >= 0 and rs.hole_lo[j] < z < rs.hole_hi[j]:
+        return float(rs.hole_lo[j]), float(rs.hole_hi[j]), None, None
+    return z, z, None, None
+
+
+def _gaps_meeting(rs, a, b):
+    """Sorted arrays (lo, hi) of the open gaps of rs that meet [a, b].
+
+    As in _gap_at, an end outside the window is no set point; a point set's
+    first and last gaps are unbounded.
+    """
+    if rs.values is not None:
+        pad = np.empty(len(rs.values) + 2)
+        pad[0], pad[1:-1], pad[-1] = -np.inf, rs.values, np.inf
+        glo, ghi = pad[:-1], pad[1:]
+    else:
+        glo, ghi = rs.hole_lo, rs.hole_hi
+    i0 = int(ghi.searchsorted(a, "right"))
+    i1 = int(glo.searchsorted(b, "left"))
+    return glo[i0:i1], ghi[i0:i1]
+
+
+def _grow_until(rs, attempt, max_doublings, what):
+    """attempt(cur) -> (answer, grow_lo, grow_hi), first on rs, then on
+    windows grown by their own width on each named side until it answers."""
     cap = rs.initial_width * 2.0 ** max_doublings
-    new_lo, new_hi = w0, w1
-    if need_lo:
-        new_lo = w0 - width
-    if need_hi:
-        new_hi = w1 + width
-    if new_hi - new_lo > cap:
-        raise ExtensionBudgetError(
-            f"{what}: window grew to width {new_hi - new_lo:g} (cap {cap:g}, "
-            f"initial {rs.initial_width:g}) without an answer")
-    return extend(rs, (new_lo, new_hi))
+    cur = rs
+    while True:
+        ans, grow_lo, grow_hi = attempt(cur)
+        if not (grow_lo or grow_hi):
+            return ans
+        w0, w1 = cur.window
+        width = w1 - w0
+        new_lo = w0 - width if grow_lo else w0
+        new_hi = w1 + width if grow_hi else w1
+        if new_hi - new_lo > cap:
+            raise ExtensionBudgetError(
+                f"{what}: window grew to width {new_hi - new_lo:g} (cap {cap:g}, "
+                f"initial {rs.initial_width:g}) without an answer")
+        cur = extend(cur, (new_lo, new_hi))
 
 
 def nearest(rs: RealizedSet, z: float, direction: str = "both",
@@ -531,123 +570,60 @@ def nearest(rs: RealizedSet, z: float, direction: str = "both",
     if direction not in ("up", "down", "both"):
         raise ValueError(f"bad direction {direction!r}")
     z = float(z)
-    cur = rs
-    while True:
+    if not math.isfinite(z):
+        raise ValueError(f"nearest: query must be finite, got {z}")
+    want_up = direction != "down"
+    want_dn = direction != "up"
+
+    def attempt(cur):
         lo, hi = cur.window
         if z < lo or z > hi:
-            cur = _grow(cur, z < lo, z > hi, max_doublings, "nearest")
-            continue
-        if cur.values is not None:
-            ans = _nearest_points(cur, z, direction)
-        else:
-            ans = _nearest_complement(cur, z, direction)
-        if ans is not None:
-            return ans
-        need_lo = direction in ("down", "both")
-        need_hi = direction in ("up", "both")
-        cur = _grow(cur, need_lo, need_hi, max_doublings, "nearest")
+            return None, z < lo, z > hi
+        a, b, ia, ib = _gap_at(cur, z)
+        # A gap end is a set point only inside the window.  For "both", a
+        # side wins only if nothing unseen beyond the window could be closer.
+        if want_up and b <= hi and (not want_dn or b - z <= z - max(a, lo)):
+            return _hit(cur, b - z, b, ib), False, False
+        if want_dn and a >= lo and (not want_up or z - a < min(b, hi) - z):
+            return _hit(cur, z - a, a, ia), False, False
+        return None, want_dn, want_up
+
+    return _grow_until(rs, attempt, max_doublings, "nearest")
 
 
-def _nearest_points(rs, z, direction):
-    vals = rs.values
-    lo, hi = rs.window
-    n = len(vals)
-    i_up = int(np.searchsorted(vals, z, side="left"))
-    i_dn = int(np.searchsorted(vals, z, side="right")) - 1
-    up = (float(vals[i_up]) - z, i_up) if i_up < n else None
-    dn = (z - float(vals[i_dn]), i_dn) if i_dn >= 0 else None
-    if direction == "up":
-        if up is None:
-            return None
-        return NearestPoint(up[0], float(vals[up[1]]), rs.point_id(up[1]))
-    if direction == "down":
-        if dn is None:
-            return None
-        return NearestPoint(dn[0], float(vals[dn[1]]), rs.point_id(dn[1]))
-    # both: a found side is conclusive if no unseen point beyond the window
-    # on the missing side could be closer
-    if up is not None and dn is not None:
-        d, i = (dn if dn[0] < up[0] else up)   # tie -> up
-        return NearestPoint(d, float(vals[i]), rs.point_id(i))
-    if up is not None and up[0] <= z - lo:
-        return NearestPoint(up[0], float(vals[up[1]]), rs.point_id(up[1]))
-    if dn is not None and dn[0] < hi - z:
-        return NearestPoint(dn[0], float(vals[dn[1]]), rs.point_id(dn[1]))
-    return None
-
-
-def _nearest_complement(rs, z, direction):
-    lo, hi = rs.window
-    j = int(np.searchsorted(rs.hole_lo, z, side="right")) - 1
-    if not (j >= 0 and rs.hole_lo[j] < z < rs.hole_hi[j]):
-        return NearestPoint(0.0, z, _value_id(z))
-    a = float(rs.hole_lo[j])
-    b = float(rs.hole_hi[j])
-    # hole endpoints are genuine set points only while inside the window
-    up = (b - z, b) if b <= hi else None
-    dn = (z - a, a) if a >= lo else None
-    if direction == "up":
-        pick = up
-    elif direction == "down":
-        pick = dn
-    else:
-        if up is not None and dn is not None:
-            pick = dn if dn[0] < up[0] else up
-        elif up is not None and up[0] <= z - lo:
-            pick = up
-        elif dn is not None and dn[0] < hi - z:
-            pick = dn
-        else:
-            pick = None
-    if pick is None:
-        return None
-    return NearestPoint(pick[0], pick[1], _value_id(pick[1]))
+def _hit(rs, distance, value, index):
+    pid = rs.point_id(index) if index is not None else _value_id(value)
+    return NearestPoint(distance, value, pid)
 
 
 def max_void_radius(rs: RealizedSet, interval: tuple,
                     max_doublings: int = DEFAULT_MAX_DOUBLINGS) -> VoidRadius:
     """Largest distance-to-set over centers in the closed interval, exact.
 
-    Computed from the sorted gap (or hole) list: each gap's best center is
+    Computed from the gaps that meet the interval: each gap's best center is
     its midpoint clamped into the interval.  Returns (radius, center); a
     radius of 0 means the set covers the whole interval (center = left end).
     """
     a, b = float(interval[0]), float(interval[1])
-    if not (a <= b):
-        raise ValueError(f"bad interval {interval}")
-    cur = rs
-    while True:
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValueError(f"bad interval {interval}: need finite lo <= hi")
+
+    def attempt(cur):
         lo, hi = cur.window
         if lo > a or hi < b:
-            cur = _grow(cur, lo > a, hi < b, max_doublings, "max_void_radius")
-            continue
-        if cur.values is not None:
-            vals = cur.values
-            # need a bracketing point on each side of [a, b]
-            if vals.size == 0 or vals[0] > a or vals[-1] < b:
-                cur = _grow(cur, vals.size == 0 or vals[0] > a,
-                            vals.size == 0 or vals[-1] < b,
-                            max_doublings, "max_void_radius")
-                continue
-            i0 = int(np.searchsorted(vals, a, side="right")) - 1
-            i1 = int(np.searchsorted(vals, b, side="left"))
-            seg = vals[i0:i1 + 1]
-            left = seg[:-1]
-            right = seg[1:]
-        else:
-            keep = (cur.hole_hi > a) & (cur.hole_lo < b)
-            left = cur.hole_lo[keep]
-            right = cur.hole_hi[keep]
-            if left.size and (left[0] < lo or right[-1] > hi):
-                cur = _grow(cur, left[0] < lo, right[-1] > hi,
-                            max_doublings, "max_void_radius")
-                continue
-            if left.size == 0:
-                return VoidRadius(0.0, a)
-        centers = np.clip((left + right) / 2.0, a, b)
-        radii = np.minimum(centers - left, right - centers)
-        i = int(np.argmax(radii))
-        return VoidRadius(float(radii[i]), float(centers[i]))
+            return None, lo > a, hi < b
+        glo, ghi = _gaps_meeting(cur, a, b)
+        if glo.size == 0:
+            return VoidRadius(0.0, a), False, False
+        # an end outside the window may not bound the gap: grow that side
+        if glo[0] < lo or ghi[-1] > hi:
+            return None, glo[0] < lo, ghi[-1] > hi
+        centers = ((glo + ghi) / 2.0).clip(a, b)
+        radii = np.minimum(centers - glo, ghi - centers)
+        i = int(radii.argmax())
+        return VoidRadius(float(radii[i]), float(centers[i])), False, False
+
+    return _grow_until(rs, attempt, max_doublings, "max_void_radius")
 
 
 def intersects_interval(rs: RealizedSet, lo: float, hi: float) -> bool:
@@ -658,13 +634,8 @@ def intersects_interval(rs: RealizedSet, lo: float, hi: float) -> bool:
     w0, w1 = rs.window
     if lo < w0 or hi > w1:
         raise ValueError(f"interval [{lo}, {hi}) outside realized window {rs.window}")
-    if rs.values is not None:
-        i0 = int(np.searchsorted(rs.values, lo, side="left"))
-        i1 = int(np.searchsorted(rs.values, hi, side="left"))
-        return i1 > i0
-    j = int(np.searchsorted(rs.hole_lo, lo, side="right")) - 1
-    covered = j >= 0 and rs.hole_lo[j] < lo and rs.hole_hi[j] >= hi
-    return not covered
+    a, b, _, _ = _gap_at(rs, lo)
+    return lo < hi and not (a < lo and b >= hi)
 
 
 def thin(rs: RealizedSet, keep_probability: float, stream: RngStream) -> RealizedSet:

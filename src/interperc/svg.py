@@ -100,7 +100,3 @@ class Canvas:
                 f'viewBox="0 0 {self.width} {self.height}">')
         body = "\n".join(self._els)
         return f"{head}\n{body}\n</svg>\n"
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.tostring())

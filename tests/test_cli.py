@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 
@@ -48,6 +49,27 @@ def test_gen_models(tmp_path, monkeypatch, argv):
     assert "set.csv" in m["outputs"]
     assert m["config"]["seed"] == "7"
     assert os.path.exists(base / "out" / "manifest.log")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["gen", "--model", "poisson", "--intensity", "2", "--seed", "7", "--window=-5,5"],
+     "352157f0b635b1eed2bba679c3ccecf2718103cdf83f0475d8741016bf7f1b7a"),
+    (["gen", "--model", "periodic", "--scale", "0.5", "--shift", "0.1", "--seed", "7",
+      "--window=0,4"],
+     "172caaa7fa18c7ad28011d3e6d1273854e4482849bc07984117a53c8d9bcb42b"),
+    (["gen", "--model", "periodic-interval", "--scale", "0.7", "--interval", "0,0.3",
+      "--seed", "7", "--window=-3,4"],
+     "6d1ad1e642ca37b12a361ccb78ddbce9a7862c2f8ce151657ecf969f7b1598b8"),
+    (["gen", "--model", "renewal", "--level", "3", "--seed", "7", "--window=-2,2"],
+     "598c2f72eb07f6d8dd93099a2a5643783030ea420378c595ed4b0423f8e7da82"),
+    (["gen", "--model", "boolean", "--arc-length", "0.5", "--seed", "7", "--window=0,20"],
+     "b19fe3d734ed33f2767232942fda59041c068136663aed2981840f45b9986c8a"),
+], ids=["poisson", "periodic", "periodic-interval", "renewal", "boolean"])
+def test_gen_csv_digest_pinned(tmp_path, monkeypatch, argv, digest):
+    """set.csv bytes are pinned per model for fixed seeds (numpy 2.x Philox)."""
+    base = run(tmp_path, monkeypatch, argv)
+    with open(base / "out" / "set.csv", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 def test_gen_svg_flag(tmp_path, monkeypatch):
@@ -182,11 +204,11 @@ def test_lipschitz_run(tmp_path, monkeypatch):
         assert len(rows) == 1
 
 
-def test_sweep_threads_equivalent(tmp_path, monkeypatch):
+def test_sweep_reproducible(tmp_path, monkeypatch):
     argv = ["sweep", "--k", "1", "--width", "8", "--lams", "0.5:3:3",
             "--trials", "30", "--seed", "10"]
-    a = run(tmp_path / "a", monkeypatch, argv + ["--threads", "1"])
-    b = run(tmp_path / "b", monkeypatch, argv + ["--threads", "2"])
+    a = run(tmp_path / "a", monkeypatch, argv)
+    b = run(tmp_path / "b", monkeypatch, argv)
     assert read(a, "out/sweep.csv") == read(b, "out/sweep.csv")
     rows = read(a, "out/sweep.csv").splitlines()
     assert rows[0] == "lam,successes,trials,p_hat,ci_lo,ci_hi"

@@ -273,6 +273,29 @@ def test_nearest_budget_error():
         nearest(rs, 0.0, "up")  # query outside a frozen window
 
 
+@pytest.mark.parametrize("query", [
+    lambda rs, z: nearest(rs, z, "both"),
+    lambda rs, z: nearest(rs, z, "up"),
+    lambda rs, z: max_void_radius(rs, (0.0, z)),
+    lambda rs, z: max_void_radius(rs, (-z, 0.0)),
+], ids=["nearest-both", "nearest-up", "void-hi", "void-lo"])
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_non_finite_query_rejected_before_growth(query, z):
+    for model in (Poisson(2.0), BooleanComplement(arc_length=0.4)):
+        rs = realize(model, RngStream(1), (-0.5, 0.5))
+        with pytest.raises(ValueError):
+            query(rs, z)
+
+
+def test_max_void_radius_degenerate_interval_at_point():
+    rs = realize(Poisson(2.0), RngStream(1), (-4.0, 4.0))
+    v = float(rs.values[3])
+    assert max_void_radius(rs, (v, v)) == (0.0, v)
+    # a single value inside a gap is at its distance from the set
+    mid = 0.5 * (rs.values[3] + rs.values[4])
+    assert max_void_radius(rs, (mid, mid)) == (nearest(rs, mid).distance, mid)
+
+
 def test_max_void_radius_periodic_exact():
     # lattice 0.6*Z restricted to a long interval: radius is half the spacing
     rs = realize(Periodic(scale=0.6, shift=0.0), RngStream(2), (-4.0, 4.0))
@@ -315,6 +338,20 @@ def test_intersects_interval_complement():
         if want:
             assert got  # grid found a member, the exact test must too
         # (when the grid misses, the interval may still clip a set sliver)
+
+
+def test_intersects_interval_empty_interval_is_false():
+    pts = from_points([0.5, 2.5], (0.0, 3.0))
+    comp = realize(Periodic(scale=1.0, base_interval=(0.0, 0.5), shift=0.0),
+                   RngStream(1), (0.0, 3.0))
+    assert comp.contains_value(0.25) and pts.contains_value(0.5)
+    assert not intersects_interval(comp, 0.25, 0.25)
+    assert not intersects_interval(pts, 0.5, 0.5)
+
+
+def test_from_points_rejects_points_outside_window():
+    with pytest.raises(ValueError):
+        from_points([0.5, 5.0], (0.0, 4.0))
 
 
 def test_thinning_is_subset_and_deterministic():
