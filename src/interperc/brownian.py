@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .randomsets import (DEFAULT_MAX_DOUBLINGS, RenewalWeibull, RngStream,
-                         nearest, realize)
+from .randomsets import RenewalWeibull, RngStream, nearest, realize
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -35,15 +34,14 @@ def displacement_variance(level: int) -> float:
     return 2.0 ** -(level + 1)
 
 
-def signed_displacement(rs, target: float,
-                        max_doublings: int = DEFAULT_MAX_DOUBLINGS):
+def signed_displacement(rs, target: float):
     """Offset from target to its nearest set point, ties broken upward.
 
     Returns (offset, nearest_point, tied) where tied reports whether the
     two one-sided candidates were exactly equidistant.
     """
-    up = nearest(rs, target, "up", max_doublings)
-    dn = nearest(rs, target, "down", max_doublings)
+    up = nearest(rs, target, "up")
+    dn = nearest(rs, target, "down")
     tied = up.distance == dn.distance and up.value != dn.value
     pick = dn if dn.distance < up.distance else up
     return pick.value - target, pick, tied
@@ -84,15 +82,14 @@ def line_stream(seed: int, level: int, numerator: int) -> RngStream:
     return RngStream(seed).child("level", level, "k", numerator)
 
 
-def _line_value(seed, level, numerator, target, max_doublings):
+def _line_value(seed, level, numerator, target):
     stream = line_stream(seed, level, numerator)
     pad = 4.0 * mean_spacing(level)
     rs = realize(RenewalWeibull(level), stream, (target - pad, target + pad))
-    return signed_displacement(rs, target, max_doublings)
+    return signed_displacement(rs, target)
 
 
-def brownian_path(seed: int, depth: int,
-                  max_doublings: int = DEFAULT_MAX_DOUBLINGS) -> DyadicPath:
+def brownian_path(seed: int, depth: int) -> DyadicPath:
     """Build the dyadic-grid path for the given seed and depth (0..20).
 
     x = 0 anchors at 0.0; x = 1 takes the nearest point of a level -1 line
@@ -104,7 +101,7 @@ def brownian_path(seed: int, depth: int,
         raise ValueError(f"depth must be an integer in 0..20, got {depth}")
     values = {0.0: (0.0, ANCHOR_ID)}
     ties = 0
-    _, pick, tied = _line_value(seed, -1, 1, 0.0, max_doublings)
+    _, pick, tied = _line_value(seed, -1, 1, 0.0)
     values[1.0] = (pick.value, pick.point_id)
     ties += tied
     for r in range(1, depth + 1):
@@ -113,7 +110,7 @@ def brownian_path(seed: int, depth: int,
             left = values[(k - 1) * step][0]
             right = values[(k + 1) * step][0]
             target = 0.5 * (left + right)
-            _, pick, tied = _line_value(seed, r, k, target, max_doublings)
+            _, pick, tied = _line_value(seed, r, k, target)
             values[k * step] = (pick.value, pick.point_id)
             ties += tied
     return DyadicPath(seed, depth, values, ties)

@@ -707,9 +707,6 @@ COVER_OPTS = _COMMON + (
 
 
 def cmd_circle_cover(c) -> dict:
-    c = dict(c)
-    c.setdefault("speeds", None)
-    c.setdefault("speeds-list", None)
     fam = _arc_family(c)
     unc = circle_uncovered(fam)
     rows = ["start,end"] + [f"{_fmt17(s)},{_fmt17(e)}" for s, e in unc]

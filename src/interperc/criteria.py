@@ -20,6 +20,25 @@ class ProbeFailedError(RuntimeError):
     """The probe found no positive lower bound to work with."""
 
 
+#: Indices per array call when scanning mu or phi.
+_CHUNK = 65536
+
+#: Blocks extract_divergent_subset may build before giving up.
+_MAX_BLOCKS = 10_000
+
+
+def _evaluate(fn, ns: np.ndarray) -> np.ndarray:
+    """fn on each of ns as floats: one array call, else one scalar call per
+    index (int) when fn rejects arrays or returns the wrong shape."""
+    try:
+        vals = np.asarray(fn(ns), dtype=np.float64)
+        if vals.shape == ns.shape:
+            return vals
+    except TypeError:
+        pass
+    return np.array([float(fn(int(n))) for n in ns])
+
+
 # ---------------------------------------------------------------------------
 # series diagnostics
 
@@ -35,14 +54,7 @@ class SeriesDiagnostic:
 
 def _terms_array(params: Union[Sequence[float], Callable], n_max: int) -> np.ndarray:
     if callable(params):
-        ns = np.arange(1, n_max + 1, dtype=np.float64)
-        try:
-            vals = np.asarray(params(ns), dtype=np.float64)
-            if vals.shape != ns.shape:
-                raise TypeError
-        except TypeError:
-            vals = np.array([float(params(int(n))) for n in ns])
-        return vals
+        return _evaluate(params, np.arange(1, n_max + 1, dtype=np.float64))
     vals = np.asarray(params, dtype=np.float64)
     if len(vals) < n_max:
         raise ValueError(f"need {n_max} terms, got {len(vals)}")
@@ -115,26 +127,18 @@ class DivergentSubsetResult:
         return np.concatenate(self.blocks) if self.blocks else np.empty(0, dtype=np.int64)
 
 
-def _chunked_eval(fn, lo, hi, chunk=65536):
-    # evaluate fn on integers lo..hi-1; tries array calls first
-    for start in range(lo, hi, chunk):
-        stop = min(start + chunk, hi)
-        ns = np.arange(start, stop, dtype=np.int64)
-        try:
-            vals = np.asarray(fn(ns), dtype=np.float64)
-            if vals.shape != ns.shape:
-                raise TypeError
-        except TypeError:
-            vals = np.array([float(fn(int(n))) for n in ns])
-        yield ns, vals
+def _chunked_eval(fn, lo, hi):
+    # evaluate fn on integers lo..hi-1, _CHUNK at a time
+    for start in range(lo, hi, _CHUNK):
+        ns = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
+        yield ns, _evaluate(fn, ns)
 
 
 def extract_divergent_subset(mu: Callable, target: float,
                              phi: Optional[Callable] = None,
                              phi_inverse: Optional[Callable] = None,
                              probe_budget: int = 100_000,
-                             search_budget: int = 50_000_000,
-                             max_blocks: int = 10_000) -> DivergentSubsetResult:
+                             search_budget: int = 50_000_000) -> DivergentSubsetResult:
     """Index blocks certifying that the permuted series keeps diverging.
 
     mu maps n >= 0 to a positive, nonincreasing weight; phi permutes the
@@ -164,54 +168,40 @@ def extract_divergent_subset(mu: Callable, target: float,
         raise ProbeFailedError("no positive lower bound for n*mu(n) over the probe range")
     half = eps / 2.0
 
-    def eval_ints(fn, arr: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(fn(arr), dtype=np.float64)
-            if out.shape != arr.shape:
-                raise TypeError
-            return out
-        except TypeError:
-            return np.array([float(fn(int(m))) for m in arr])
-
     blocks = [np.array([0], dtype=np.int64)]
-    first_img = int(eval_ints(phi, blocks[0])[0])
-    bounds = [float(mu(first_img))]
+    first_img = int(_evaluate(phi, blocks[0])[0])
+    running_min = float(mu(first_img))
+    bounds = [running_min]
     prefix_max_image = first_img     # max phi over [0, largest member so far]
     scanned_to = 1                   # phi evaluated on [0, scanned_to)
-    running_min = float(mu(first_img))
     block_sums = [running_min]       # per-block sums of prefix-minimum terms
 
     while math.fsum(block_sums) < target:
-        if len(blocks) > max_blocks:
+        if len(blocks) > _MAX_BLOCKS:
             raise ProbeFailedError("block budget exhausted before reaching the target")
         # m_k: largest phi-image over indices up to the largest member so far
         top = int(blocks[-1][-1])
-        for ns, vals in _chunked_eval(phi, scanned_to, top + 1):
-            if ns.size:
-                prefix_max_image = max(prefix_max_image, int(np.max(vals)))
+        for _, vals in _chunked_eval(phi, scanned_to, top + 1):
+            prefix_max_image = max(prefix_max_image, int(np.max(vals)))
         scanned_to = max(scanned_to, top + 1)
         m_k = prefix_max_image
         n_k = None
-        pos = m_k + 1
-        while pos <= search_budget:
-            stop = min(pos + 65536, search_budget + 1)
-            ns, vals = next(_chunked_eval(mu, pos, stop))
+        for ns, vals in _chunked_eval(mu, m_k + 1, search_budget + 1):
             hit = np.nonzero((ns - m_k) * vals > half)[0]
             if hit.size:
                 n_k = int(ns[hit[0]])
                 break
-            pos = stop
         if n_k is None:
             raise ProbeFailedError(
                 f"no block end with (n - {m_k}) * mu(n) > eps/2 within the search budget")
         imgs = np.arange(m_k + 1, n_k + 1, dtype=np.int64)
-        members = np.sort(eval_ints(phi_inverse, imgs).astype(np.int64))
-        member_imgs = eval_ints(phi, members).astype(np.int64)
+        members = np.sort(_evaluate(phi_inverse, imgs).astype(np.int64))
+        member_imgs = _evaluate(phi, members).astype(np.int64)
         # ordering relations: members exceed all earlier members, and their
         # images exceed all earlier images
         assert members[0] > blocks[-1][-1], "block members must exceed all earlier ones"
         assert int(np.min(member_imgs)) == m_k + 1, "image range must start just past m_k"
-        mu_members = eval_ints(mu, member_imgs)
+        mu_members = _evaluate(mu, member_imgs)
         bound = members.size * float(np.min(mu_members))
         assert bound >= half, f"certificate {bound} fell below eps/2 = {half}"
         blocks.append(members)

@@ -258,8 +258,18 @@ def _weighted(lines, values) -> Optional[float]:
     return math.fsum(terms)
 
 
-def _trace_result(lines, signs, values, pids) -> TraceResult:
-    tv = math.fsum(abs(values[i + 1] - values[i]) for i in range(len(values) - 1))
+def _walk(lines, sign_at) -> TraceResult:
+    # g_0 = 0, then on line i jump up (+1) or down (-1) from g as sign_at(i, g) says
+    g = 0.0
+    signs, values, pids = [], [0.0], [None]
+    for i, ln in enumerate(lines):
+        s = sign_at(i, g)
+        hit = nearest(ln.realized, g, "up" if s > 0 else "down")
+        g = hit.value
+        signs.append(s)
+        values.append(g)
+        pids.append(hit.point_id)
+    tv = math.fsum(abs(b - a) for a, b in zip(values, values[1:]))
     return TraceResult(tuple(signs), tuple(values), tuple(pids), tv,
                        _weighted(lines, values))
 
@@ -270,15 +280,7 @@ def trace_signs(lines: Sequence[Line], signs: Sequence[int]) -> TraceResult:
         raise ValueError("need one sign per line")
     if any(s not in (+1, -1) for s in signs):
         raise ValueError("signs must be +1 or -1")
-    g = 0.0
-    values = [0.0]
-    pids = [None]
-    for ln, s in zip(lines, signs):
-        hit = nearest(ln.realized, g, "up" if s > 0 else "down")
-        g = hit.value
-        values.append(g)
-        pids.append(hit.point_id)
-    return _trace_result(lines, signs, values, pids)
+    return _walk(lines, lambda i, g: signs[i])
 
 
 def greedy_trace(lines: Sequence[Line], f_values: Sequence[float]) -> TraceResult:
@@ -299,18 +301,7 @@ def greedy_trace(lines: Sequence[Line], f_values: Sequence[float]) -> TraceResul
             rs = ensure_window(rs, min(fv, lo), max(fv, hi))
         if not rs.contains_value(fv):
             raise ValueError(f"f value {fv} is not a realized point of line x={ln.x}")
-    g = 0.0
-    values = [0.0]
-    pids = [None]
-    signs = []
-    for ln, fv in zip(lines, f_values):
-        s = +1 if fv >= g else -1
-        hit = nearest(ln.realized, g, "up" if s > 0 else "down")
-        g = hit.value
-        signs.append(s)
-        values.append(g)
-        pids.append(hit.point_id)
-    res = _trace_result(lines, signs, values, pids)
+    res = _walk(lines, lambda i, g: +1 if f_values[i] >= g else -1)
     f_tv = math.fsum(abs(b - a) for a, b in zip((0.0, *map(float, f_values)),
                                                 map(float, f_values)))
     assert res.total_variation <= f_tv, "greedy trace exceeded the candidate's variation"
@@ -329,9 +320,6 @@ def min_total_variation(lines: Sequence[Line],
     if method not in ("reachable_states", "brute_force"):
         raise ValueError(f"unknown method {method!r}")
     n = len(lines)
-    if n == 0:
-        return TraceResult((), (0.0,), (None,), 0.0,
-                           0.0 if all(isinstance(l.realized.model, Poisson) for l in lines) else None)
     hoppers = [_LineHopper(ln.realized) for ln in lines]
     if method == "brute_force":
         if n > 24:

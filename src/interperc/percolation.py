@@ -137,7 +137,7 @@ class SiteLattice:
         return len(self.xs)
 
     def segment(self, x: int, i: int) -> tuple:
-        off = 1.0 if x % 2 == 0 else -1.0
+        off = float(_parity(x))
         return (4.0 * i + off, 4.0 * (i + 1) + off)
 
 

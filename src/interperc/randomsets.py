@@ -17,6 +17,10 @@ the holes.  A gap end is a set point only while it lies inside the window;
 beyond it the line is not realized yet.  Two private helpers build that view
 at query time: _gap_at (the gap around one value) and _gaps_meeting (the gaps
 that meet an interval).
+
+A query that needs more of the line than the window holds grows the window
+on a copy, doubling it on the side it needs, up to 2**10 times the width of
+the queried set's window; past that it raises ExtensionBudgetError.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ _MASK64 = (1 << 64) - 1
 #: stream with a larger window reproduces the same leading draws.
 _RENEWAL_CHUNK = 64
 
-#: Default cap on automatic window growth: width may reach 2**10 times the
-#: width of the first realization before nearest()/max_void_radius() give up.
+#: Cap on automatic window growth: nearest() and max_void_radius() may grow
+#: the window to 2**DEFAULT_MAX_DOUBLINGS times the width of the queried
+#: set's window before they give up.
 DEFAULT_MAX_DOUBLINGS = 10
 
 
@@ -200,7 +205,6 @@ def _validate_model(model: LineModel) -> None:
 # realized sets
 
 _EMPTY_F = np.empty(0, dtype=np.float64)
-_EMPTY_I = np.empty(0, dtype=np.int64)
 
 
 class RealizedSet:
@@ -213,10 +217,10 @@ class RealizedSet:
     """
 
     __slots__ = ("model", "stream", "window", "values", "_ida", "_idb",
-                 "_tag", "hole_lo", "hole_hi", "initial_width")
+                 "_tag", "hole_lo", "hole_hi")
 
     def __init__(self, model, stream, window, values=None, ida=None, idb=None,
-                 tag="", hole_lo=None, hole_hi=None, initial_width=None):
+                 tag="", hole_lo=None, hole_hi=None):
         self.model = model
         self.stream = stream
         self.window = window
@@ -226,7 +230,6 @@ class RealizedSet:
         self._tag = tag
         self.hole_lo = hole_lo
         self.hole_hi = hole_hi
-        self.initial_width = (window[1] - window[0]) if initial_width is None else initial_width
 
     @property
     def kind(self) -> str:
@@ -246,13 +249,11 @@ class RealizedSet:
 
     def contains_id(self, pid: tuple) -> bool:
         """Membership by identity: the id must name a current element."""
-        tag, a, b = pid
-        if tag == "val":
-            return self.contains_value(np.uint64(a).view(np.float64).item())
-        if self.values is None or tag != self._tag:
+        try:
+            self.id_value(pid)
+        except KeyError:
             return False
-        hit = np.nonzero((self._ida == a) & (self._idb == b))[0]
-        return hit.size == 1
+        return True
 
     def id_value(self, pid: tuple) -> float:
         """Float value an id refers to; raises KeyError for foreign ids."""
@@ -298,34 +299,20 @@ def _poisson_block_width(intensity: float) -> float:
 
 def _poisson_arrays(intensity, stream, lo, hi):
     bw = _poisson_block_width(intensity)
-    klo = math.floor(lo / bw)
-    khi = math.floor(hi / bw)
+    ks = np.arange(math.floor(lo / bw), math.floor(hi / bw) + 1, dtype=np.int64)
     per_block = intensity * bw
-    vals, blocks, ranks = [], [], []
-    for k in range(klo, khi + 1):
+    counts = np.empty(ks.size, dtype=np.int64)
+    draws = []
+    for j, k in enumerate(ks.tolist()):
         g = _borrow_generator(stream.child("block", k))
-        n = int(g.poisson(per_block))
-        if n == 0:
-            continue
-        xs = np.sort(g.random(n)) * bw + k * bw
-        rk = np.arange(n, dtype=np.int64)
-        if k == klo or k == khi:
-            m = (xs >= lo) & (xs <= hi)
-            xs, rk = xs[m], rk[m]
-            if xs.size == 0:
-                continue
-        vals.append(xs)
-        blocks.append(np.full(xs.size, k, dtype=np.int64))
-        ranks.append(rk)
-    if not vals:
-        return _EMPTY_F, _EMPTY_I, _EMPTY_I
-    return np.concatenate(vals), np.concatenate(blocks), np.concatenate(ranks)
-
-
-def _realize_poisson(model, stream, window, initial_width):
-    vals, blocks, ranks = _poisson_arrays(model.intensity, stream, *window)
-    return RealizedSet(model, stream, window, vals, blocks, ranks, "pb",
-                       initial_width=initial_width)
+        counts[j] = n = g.poisson(per_block)
+        draws.append(np.sort(g.random(n)))
+    # a draw's id is (block, rank among the block's sorted draws)
+    blocks = np.repeat(ks, counts)
+    ranks = np.arange(blocks.size, dtype=np.int64) - np.repeat(counts.cumsum() - counts, counts)
+    vals = np.concatenate(draws) * bw + blocks * bw
+    m = (vals >= lo) & (vals <= hi)
+    return vals[m], blocks[m], ranks[m]
 
 
 def _renewal_walk(gen, start, sign, bound, scale):
@@ -341,7 +328,7 @@ def _renewal_walk(gen, start, sign, bound, scale):
     return np.concatenate(out)
 
 
-def _realize_renewal(model, stream, window, initial_width):
+def _realize_renewal(model, stream, window):
     lo, hi = window
     c = 2.0 ** (model.level - 2)
     scale = 1.0 / math.sqrt(c)
@@ -363,8 +350,7 @@ def _realize_renewal(model, stream, window, initial_width):
     sides = np.concatenate([np.zeros(lm.sum(), dtype=np.int64),
                             np.ones(rm.sum(), dtype=np.int64)])
     idx = np.concatenate([l_idx[lm][::-1], r_idx[rm]])
-    return RealizedSet(model, stream, window, vals, sides, idx, "rn",
-                       initial_width=initial_width)
+    return vals, sides, idx
 
 
 def _periodic_shift(model, stream):
@@ -373,7 +359,7 @@ def _periodic_shift(model, stream):
     return float(_borrow_generator(stream.child("shift")).random())
 
 
-def _realize_periodic_points(model, stream, window, initial_width):
+def _realize_periodic_points(model, stream, window):
     lo, hi = window
     shift = _periodic_shift(model, stream)
     s = model.scale
@@ -389,44 +375,34 @@ def _realize_periodic_points(model, stream, window, initial_width):
         vals.append(pts[m])
         base_idx.append(np.full(int(m.sum()), i, dtype=np.int64))
         lattice.append(ks[m])
-    v = np.concatenate(vals) if vals else _EMPTY_F
-    ia = np.concatenate(base_idx) if base_idx else _EMPTY_I
-    ib = np.concatenate(lattice) if lattice else _EMPTY_I
+    v = np.concatenate(vals)
     order = np.argsort(v, kind="stable")
-    return RealizedSet(model, stream, window, v[order], ia[order], ib[order],
-                       "pg", initial_width=initial_width)
+    return v[order], np.concatenate(base_idx)[order], np.concatenate(lattice)[order]
 
 
-def _realize_periodic_interval(model, stream, window, initial_width):
+def _realize_periodic_interval(model, stream, window):
     lo, hi = window
     shift = _periodic_shift(model, stream)
     s = model.scale
     a, b = model.base_interval
     if b - a >= 1.0:
-        # consecutive copies overlap: the set is the whole line
-        holes_lo = _EMPTY_F
-        holes_hi = _EMPTY_F
-    else:
-        # gap between copy k and copy k+1: scale*(b+k+shift, a+k+1+shift)
-        u0 = min(lo, hi) / abs(s)
-        u1 = max(lo, hi) / abs(s)
-        kr = np.arange(math.floor(u0 - abs(b) - abs(a) - abs(shift)) - 3,
-                       math.ceil(u1 + abs(b) + abs(a) + abs(shift)) + 4,
-                       dtype=np.float64)
-        e0 = s * (b + kr + shift)
-        e1 = s * (a + kr + 1.0 + shift)
-        hlo = np.minimum(e0, e1)
-        hhi = np.maximum(e0, e1)
-        m = (hhi > lo) & (hlo < hi)
-        order = np.argsort(hlo[m])
-        holes_lo = hlo[m][order]
-        holes_hi = hhi[m][order]
-    return RealizedSet(model, stream, window, None, None, None, "",
-                       hole_lo=holes_lo, hole_hi=holes_hi,
-                       initial_width=initial_width)
+        return _EMPTY_F, _EMPTY_F   # copies overlap: the set is the whole line
+    # gap between copy k and copy k+1: scale*(b+k+shift, a+k+1+shift)
+    u0 = min(lo, hi) / abs(s)
+    u1 = max(lo, hi) / abs(s)
+    kr = np.arange(math.floor(u0 - abs(b) - abs(a) - abs(shift)) - 3,
+                   math.ceil(u1 + abs(b) + abs(a) + abs(shift)) + 4,
+                   dtype=np.float64)
+    e0 = s * (b + kr + shift)
+    e1 = s * (a + kr + 1.0 + shift)
+    hlo = np.minimum(e0, e1)
+    hhi = np.maximum(e0, e1)
+    m = (hhi > lo) & (hlo < hi)
+    order = np.argsort(hlo[m])
+    return hlo[m][order], hhi[m][order]
 
 
-def _realize_boolean(model, stream, window, initial_width):
+def _realize_boolean(model, stream, window):
     lo, hi = window
     ell = model.arc_length
     # Any arc whose open interval meets the window starts in [lo - ell, hi].
@@ -439,13 +415,10 @@ def _realize_boolean(model, stream, window, initial_width):
     hlo = pts[cut[:-1]]
     hhi = ends[cut[1:]]
     m = (hhi > lo) & (hlo < hi)
-    return RealizedSet(model, stream, window, None, None, None, "",
-                       hole_lo=hlo[m], hole_hi=hhi[m],
-                       initial_width=initial_width)
+    return hlo[m], hhi[m]
 
 
-def realize(model: LineModel, stream: RngStream, window: tuple,
-            _initial_width: Optional[float] = None) -> RealizedSet:
+def realize(model: LineModel, stream: RngStream, window: tuple) -> RealizedSet:
     """Materialize the model's set on the closed window [lo, hi].
 
     Content is a pure function of (model, stream, window) and agrees with
@@ -457,14 +430,17 @@ def realize(model: LineModel, stream: RngStream, window: tuple,
         raise ValueError(f"window must be a finite nonempty interval, got {window}")
     window = (lo, hi)
     if isinstance(model, Poisson):
-        return _realize_poisson(model, stream, window, _initial_width)
-    if isinstance(model, RenewalWeibull):
-        return _realize_renewal(model, stream, window, _initial_width)
-    if isinstance(model, Periodic):
-        if model.base_interval is not None:
-            return _realize_periodic_interval(model, stream, window, _initial_width)
-        return _realize_periodic_points(model, stream, window, _initial_width)
-    return _realize_boolean(model, stream, window, _initial_width)
+        tag, arrays = "pb", _poisson_arrays(model.intensity, stream, lo, hi)
+    elif isinstance(model, RenewalWeibull):
+        tag, arrays = "rn", _realize_renewal(model, stream, window)
+    elif isinstance(model, Periodic) and model.base_interval is None:
+        tag, arrays = "pg", _realize_periodic_points(model, stream, window)
+    else:
+        holes = (_realize_boolean if isinstance(model, BooleanComplement)
+                 else _realize_periodic_interval)
+        hole_lo, hole_hi = holes(model, stream, window)
+        return RealizedSet(model, stream, window, hole_lo=hole_lo, hole_hi=hole_hi)
+    return RealizedSet(model, stream, window, *arrays, tag)
 
 
 def from_points(points, window) -> RealizedSet:
@@ -487,8 +463,7 @@ def extend(rs: RealizedSet, new_window: tuple, stream: Optional[RngStream] = Non
         raise ValueError("explicit point sets cannot be extended")
     if rs.stream is None:
         raise ValueError("derived sets (e.g. thinned) cannot be extended")
-    return realize(rs.model, stream or rs.stream, (lo, hi),
-                   _initial_width=rs.initial_width)
+    return realize(rs.model, stream or rs.stream, (lo, hi))
 
 
 def ensure_window(rs: RealizedSet, lo: float, hi: float) -> RealizedSet:
@@ -539,10 +514,12 @@ def _gaps_meeting(rs, a, b):
     return glo[i0:i1], ghi[i0:i1]
 
 
-def _grow_until(rs, attempt, max_doublings, what):
+def _grow_until(rs, attempt, what):
     """attempt(cur) -> (answer, grow_lo, grow_hi), first on rs, then on
-    windows grown by their own width on each named side until it answers."""
-    cap = rs.initial_width * 2.0 ** max_doublings
+    windows grown by their own width on each named side until it answers,
+    up to 2**DEFAULT_MAX_DOUBLINGS times the width of rs's window."""
+    width0 = rs.window[1] - rs.window[0]
+    cap = width0 * 2.0 ** DEFAULT_MAX_DOUBLINGS
     cur = rs
     while True:
         ans, grow_lo, grow_hi = attempt(cur)
@@ -555,17 +532,17 @@ def _grow_until(rs, attempt, max_doublings, what):
         if new_hi - new_lo > cap:
             raise ExtensionBudgetError(
                 f"{what}: window grew to width {new_hi - new_lo:g} (cap {cap:g}, "
-                f"initial {rs.initial_width:g}) without an answer")
+                f"initial {width0:g}) without an answer")
         cur = extend(cur, (new_lo, new_hi))
 
 
-def nearest(rs: RealizedSet, z: float, direction: str = "both",
-            max_doublings: int = DEFAULT_MAX_DOUBLINGS) -> NearestPoint:
+def nearest(rs: RealizedSet, z: float, direction: str = "both") -> NearestPoint:
     """Nearest set point to z: first at-or-above ("up"), at-or-below
     ("down"), or closest of the two ("both", ties broken upward).
 
     The window is grown geometrically (internally; rs itself is unchanged)
-    until the query is answerable, up to the doubling cap.
+    until the query is answerable, up to 2**10 times the width of rs's
+    window; past that ExtensionBudgetError is raised.
     """
     if direction not in ("up", "down", "both"):
         raise ValueError(f"bad direction {direction!r}")
@@ -588,7 +565,7 @@ def nearest(rs: RealizedSet, z: float, direction: str = "both",
             return _hit(cur, z - a, a, ia), False, False
         return None, want_dn, want_up
 
-    return _grow_until(rs, attempt, max_doublings, "nearest")
+    return _grow_until(rs, attempt, "nearest")
 
 
 def _hit(rs, distance, value, index):
@@ -596,13 +573,14 @@ def _hit(rs, distance, value, index):
     return NearestPoint(distance, value, pid)
 
 
-def max_void_radius(rs: RealizedSet, interval: tuple,
-                    max_doublings: int = DEFAULT_MAX_DOUBLINGS) -> VoidRadius:
+def max_void_radius(rs: RealizedSet, interval: tuple) -> VoidRadius:
     """Largest distance-to-set over centers in the closed interval, exact.
 
     Computed from the gaps that meet the interval: each gap's best center is
     its midpoint clamped into the interval.  Returns (radius, center); a
     radius of 0 means the set covers the whole interval (center = left end).
+    The window grows as in nearest(), up to 2**10 times the width of rs's
+    window, until every gap meeting the interval is bounded inside it.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
@@ -623,7 +601,7 @@ def max_void_radius(rs: RealizedSet, interval: tuple,
         i = int(radii.argmax())
         return VoidRadius(float(radii[i]), float(centers[i])), False, False
 
-    return _grow_until(rs, attempt, max_doublings, "max_void_radius")
+    return _grow_until(rs, attempt, "max_void_radius")
 
 
 def intersects_interval(rs: RealizedSet, lo: float, hi: float) -> bool:
@@ -655,8 +633,7 @@ def thin(rs: RealizedSet, keep_probability: float, stream: RngStream) -> Realize
     if isinstance(model, Poisson):
         model = Poisson(model.intensity * keep_probability, model.x)
     return RealizedSet(model, None, rs.window, rs.values[keep],
-                       rs._ida[keep], rs._idb[keep], rs._tag,
-                       initial_width=rs.initial_width)
+                       rs._ida[keep], rs._idb[keep], rs._tag)
 
 
 # ---------------------------------------------------------------------------

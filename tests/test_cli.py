@@ -51,24 +51,35 @@ def test_gen_models(tmp_path, monkeypatch, argv):
     assert os.path.exists(base / "out" / "manifest.log")
 
 
-@pytest.mark.parametrize("argv,digest", [
+@pytest.mark.parametrize("argv,name,digest", [
     (["gen", "--model", "poisson", "--intensity", "2", "--seed", "7", "--window=-5,5"],
-     "352157f0b635b1eed2bba679c3ccecf2718103cdf83f0475d8741016bf7f1b7a"),
+     "set.csv", "352157f0b635b1eed2bba679c3ccecf2718103cdf83f0475d8741016bf7f1b7a"),
     (["gen", "--model", "periodic", "--scale", "0.5", "--shift", "0.1", "--seed", "7",
       "--window=0,4"],
-     "172caaa7fa18c7ad28011d3e6d1273854e4482849bc07984117a53c8d9bcb42b"),
+     "set.csv", "172caaa7fa18c7ad28011d3e6d1273854e4482849bc07984117a53c8d9bcb42b"),
     (["gen", "--model", "periodic-interval", "--scale", "0.7", "--interval", "0,0.3",
       "--seed", "7", "--window=-3,4"],
-     "6d1ad1e642ca37b12a361ccb78ddbce9a7862c2f8ce151657ecf969f7b1598b8"),
+     "set.csv", "6d1ad1e642ca37b12a361ccb78ddbce9a7862c2f8ce151657ecf969f7b1598b8"),
     (["gen", "--model", "renewal", "--level", "3", "--seed", "7", "--window=-2,2"],
-     "598c2f72eb07f6d8dd93099a2a5643783030ea420378c595ed4b0423f8e7da82"),
+     "set.csv", "598c2f72eb07f6d8dd93099a2a5643783030ea420378c595ed4b0423f8e7da82"),
     (["gen", "--model", "boolean", "--arc-length", "0.5", "--seed", "7", "--window=0,20"],
-     "b19fe3d734ed33f2767232942fda59041c068136663aed2981840f45b9986c8a"),
-], ids=["poisson", "periodic", "periodic-interval", "renewal", "boolean"])
-def test_gen_csv_digest_pinned(tmp_path, monkeypatch, argv, digest):
-    """set.csv bytes are pinned per model for fixed seeds (numpy 2.x Philox)."""
+     "set.csv", "b19fe3d734ed33f2767232942fda59041c068136663aed2981840f45b9986c8a"),
+    (["interpolate", "--method", "monotone", "--seed", "3", "--count", "10"],
+     "function.csv", "aae186493e8d47800fa75f74ed1704d6592ae164f44dc3634b1e90a9eb83a4e9"),
+    (["interpolate", "--method", "bv-min", "--seed", "3", "--count", "10"],
+     "trace.csv", "bfeb87cd177c0f3e14c8bd68801e60290b2e42f8a6a86072ea1fa692e8614b58"),
+    (["sweep", "--k", "1", "--width", "12", "--lams", "0.5:3:4", "--trials", "40",
+      "--seed", "10"],
+     "sweep.csv", "a877493996f939d27d57b7c7c2c33a899f8f4ac7e360e8b5b1e6e2aa6329f454"),
+    (["lambda-c", "--k", "1", "--widths", "8,16", "--trials", "40", "--seed", "4"],
+     "evals.csv", "97e29eefd4081c12d5f0ae265dc92b94adba2f64b1a9252ad46437ab2857370e"),
+], ids=["poisson", "periodic", "periodic-interval", "renewal", "boolean",
+        "interpolate-monotone", "interpolate-bv-min", "sweep", "lambda-c"])
+def test_gen_csv_digest_pinned(tmp_path, monkeypatch, argv, name, digest):
+    """Output bytes are pinned for fixed seeds (numpy 2.x Philox): gen set.csv
+    per model, interpolants carrying point ids, and the sweep/lambda-c tables."""
     base = run(tmp_path, monkeypatch, argv)
-    with open(base / "out" / "set.csv", "rb") as fh:
+    with open(base / "out" / name, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 

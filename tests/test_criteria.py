@@ -133,6 +133,17 @@ def test_subset_with_dyadic_reversal():
                               lambda n: int(dyadic_block_reversal(n)))
 
 
+def test_subset_scalar_only_mu_matches_array_form():
+    # a mu that rejects arrays is evaluated one index at a time
+    scalar = extract_divergent_subset(lambda n: 1.0 / (float(n) + 1.0),
+                                      target=2.0, probe_budget=2000)
+    array = extract_divergent_subset(lambda n: 1.0 / (np.asarray(n) + 1.0),
+                                     target=2.0, probe_budget=2000)
+    assert (scalar.eps, scalar.total) == (array.eps, array.total)
+    assert len(scalar.blocks) == len(array.blocks) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(scalar.blocks, array.blocks))
+
+
 def test_subset_block_growth_is_geometricish():
     # for mu(n) = 1/(n+1) each block roughly doubles the index range
     mu = lambda n: 1.0 / (np.asarray(n) + 1.0)

@@ -335,6 +335,13 @@ def test_min_variation_brute_force_size_cap():
         min_total_variation(lines, method="magic")
 
 
+@pytest.mark.parametrize("method", ["reachable_states", "brute_force"])
+def test_min_variation_no_lines(method):
+    res = min_total_variation([], method=method)
+    assert (res.signs, res.values, res.point_ids) == ((), (0.0,), (None,))
+    assert res.total_variation == 0.0 and res.weighted_variation == 0.0
+
+
 def test_explicit_sets_work_throughout():
     # hand-built sets exercise the same code paths without any model attached
     l1 = Line(0.0, from_points([-1.0, 0.5, 2.0], (-3.0, 3.0)))

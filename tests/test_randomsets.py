@@ -1,5 +1,6 @@
 """Tests for line models, lazy realization, and exact queries."""
 
+import hashlib
 import io
 import math
 
@@ -99,6 +100,21 @@ def test_extension_consistency(model, seed):
         bl, bh = clipped(big)
         assert np.array_equal(gl, dl) and np.array_equal(gh, dh)
         assert np.array_equal(dl, bl) and np.array_equal(dh, bh)
+
+
+def test_point_realizations_digest_pinned():
+    """Values and point ids of fixed-seed point realizations are pinned
+    (numpy 2.x Philox): Poisson on edge-only and on interior blocks, renewal
+    and periodic points."""
+    h = hashlib.sha256()
+    for model, window in ((Poisson(2.0), (-6.3, 5.7)), (Poisson(40.0), (-3.3, 2.6)),
+                          (RenewalWeibull(3), (-6.0, 6.0)),
+                          (Periodic(0.7, base_points=(0.0, 0.4)), (-6.0, 6.0))):
+        rs = realize(model, RngStream(5, 9), window)
+        h.update(rs.values.tobytes())
+        for i in range(len(rs)):
+            h.update(repr(rs.point_id(i)).encode())
+    assert h.hexdigest() == "e5c287a7f54d355647f711fb19ee26dfd87be67057f677032346c54810c31939"
 
 
 def test_extend_rejects_shrinking():
@@ -271,6 +287,24 @@ def test_nearest_budget_error():
     rs = from_points([100.0], (99.0, 101.0))
     with pytest.raises(ValueError):
         nearest(rs, 0.0, "up")  # query outside a frozen window
+
+
+@pytest.mark.parametrize("query", [
+    lambda rs: nearest(rs, 0.0),
+    lambda rs: nearest(rs, 0.0, "up"),
+    lambda rs: max_void_radius(rs, (-0.25, 0.25)),
+], ids=["nearest-both", "nearest-up", "void"])
+def test_growth_budget_error(query):
+    # an almost empty line: no answer within 2**10 times the window width
+    rs = realize(Poisson(1e-6), RngStream(1), (-0.5, 0.5))
+    with pytest.raises(ExtensionBudgetError, match="cap 1024, initial 1"):
+        query(rs)
+
+
+def test_growth_budget_follows_the_queried_window():
+    rs = extend(realize(Poisson(1e-6), RngStream(1), (-0.5, 0.5)), (-4.0, 4.0))
+    with pytest.raises(ExtensionBudgetError, match="cap 8192, initial 8"):
+        nearest(rs, 0.0)
 
 
 @pytest.mark.parametrize("query", [
