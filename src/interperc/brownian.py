@@ -82,8 +82,8 @@ def line_stream(seed: int, level: int, numerator: int) -> RngStream:
     return RngStream(seed).child("level", level, "k", numerator)
 
 
-def _line_value(seed, level, numerator, target):
-    stream = line_stream(seed, level, numerator)
+def _line_value(level, stream, target):
+    # signed_displacement on the level's line, realized 4 mean spacings around target
     pad = 4.0 * mean_spacing(level)
     rs = realize(RenewalWeibull(level), stream, (target - pad, target + pad))
     return signed_displacement(rs, target)
@@ -101,7 +101,7 @@ def brownian_path(seed: int, depth: int) -> DyadicPath:
         raise ValueError(f"depth must be an integer in 0..20, got {depth}")
     values = {0.0: (0.0, ANCHOR_ID)}
     ties = 0
-    _, pick, tied = _line_value(seed, -1, 1, 0.0)
+    _, pick, tied = _line_value(-1, line_stream(seed, -1, 1), 0.0)
     values[1.0] = (pick.value, pick.point_id)
     ties += tied
     for r in range(1, depth + 1):
@@ -110,7 +110,7 @@ def brownian_path(seed: int, depth: int) -> DyadicPath:
             left = values[(k - 1) * step][0]
             right = values[(k + 1) * step][0]
             target = 0.5 * (left + right)
-            _, pick, tied = _line_value(seed, r, k, target)
+            _, pick, tied = _line_value(r, line_stream(seed, r, k), target)
             values[k * step] = (pick.value, pick.point_id)
             ties += tied
     return DyadicPath(seed, depth, values, ties)
@@ -122,10 +122,5 @@ def midpoint_displacements(level: int, count: int, seed: int) -> np.ndarray:
     Samples the refinement step in isolation; the law is N(0, 2**-(level+1)).
     """
     base = RngStream(seed)
-    pad = 4.0 * mean_spacing(level)
-    model = RenewalWeibull(level)
-    out = np.empty(count)
-    for i in range(count):
-        rs = realize(model, base.child("disp", i), (-pad, pad))
-        out[i] = signed_displacement(rs, 0.0)[0]
-    return out
+    return np.array([_line_value(level, base.child("disp", i), 0.0)[0]
+                     for i in range(count)])

@@ -31,9 +31,8 @@ from .criteria import (ArcFamily, circle_uncovered, dyadic_block_reversal,
                        extract_divergent_subset, rotating_cover_scan,
                        series_partial_sums, uncovered_measure)
 from .interpolators import (Line, continuous_interpolate, greedy_trace,
-                            knot_rows, min_total_variation,
-                            monotone_interpolate, polyline_geometry,
-                            step_geometry, trace_signs)
+                            min_total_variation, monotone_interpolate,
+                            polyline_geometry, step_geometry, trace_signs)
 from .percolation import (crossing_probability, estimate_lambda_c,
                           lipschitz_feasible, strip_lines)
 from .randomsets import (BooleanComplement, Periodic, Poisson, RenewalWeibull,
@@ -205,14 +204,23 @@ def _resolve(args, opts):
 # output writing
 
 
-def _fmt17(v: float) -> str:
+def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if v is None:
+        return "-"
+    if isinstance(v, tuple):          # a point id
+        return ":".join(map(str, v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
     return f"{float(v):.17g}"
 
 
-def _pid_str(pid) -> str:
-    if pid is None:
-        return "-"
-    return f"{pid[0]}:{pid[1]}:{pid[2]}"
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row.  A cell is written as is (str),
+    as "-" (None), as tag:a:b (point id tuple), in plain digits (int, bool,
+    numpy integer) or as a float at 17 significant digits (round-trips)."""
+    return header + "\n" + "".join(",".join(map(_cell, r)) + "\n" for r in rows)
 
 
 def _json_default(v):
@@ -321,20 +329,19 @@ def _plot_sweep(rows) -> str:
     return cv.tostring()
 
 
+def _split_at_seam(a: float, b: float) -> list:
+    """Pieces of the circle arc [a, b] (a in [0, 1), b < a + 1) within [0, 1]."""
+    return [(a, min(b, 1.0))] + ([(0.0, b - 1.0)] if b > 1.0 else [])
+
+
 def _plot_circle(arcs: ArcFamily, uncovered) -> str:
     cv = Canvas((-0.02, 1.02), (0.0, len(arcs.arcs) + 2.0))
     cv.axes(title="arc family and uncovered set")
     for row, (l, u) in enumerate(arcs.arcs, start=2):
-        pieces = [(u, min(u + l, 1.0))]
-        if u + l > 1.0:
-            pieces.append((0.0, u + l - 1.0))
-        for a, b in pieces:
+        for a, b in _split_at_seam(u, u + l):
             cv.rect(a, row - 0.3, b, row + 0.3, fill="#1f6fb4", opacity=0.8)
     for s, e in uncovered:
-        pieces = [(s, min(e, 1.0))]
-        if e > 1.0:
-            pieces.append((0.0, e - 1.0))
-        for a, b in pieces:
+        for a, b in _split_at_seam(s, e):
             if b > a:
                 cv.rect(a, 0.7, b, 1.3, fill="#c23b22")
             else:
@@ -445,14 +452,14 @@ def _make_lines(c, interior: bool) -> list:
 
 
 def _trace_files(lines, res, c) -> dict:
-    rows = ["index,x,sign,value,point_id", f"0,,,{_fmt17(res.values[0])},-"]
-    for i, ln in enumerate(lines):
-        rows.append(f"{i + 1},{_fmt17(ln.x)},{res.signs[i]:+d},"
-                    f"{_fmt17(res.values[i + 1])},{_pid_str(res.point_ids[i + 1])}")
+    rows = [(0, "", "", res.values[0], None)]
+    rows += [(i + 1, ln.x, f"{res.signs[i]:+d}", res.values[i + 1], res.point_ids[i + 1])
+             for i, ln in enumerate(lines)]
     summary = {"total_variation": res.total_variation,
                "weighted_variation": res.weighted_variation,
                "end_value": res.values[-1]}
-    files = {"trace.csv": "\n".join(rows) + "\n", "summary.json": _json_text(summary)}
+    files = {"trace.csv": _csv("index,x,sign,value,point_id", rows),
+             "summary.json": _json_text(summary)}
     if c["svg"]:
         xs = [lines[0].x - 1.0] + [ln.x for ln in lines]
         files["trace.svg"] = _plot_function(lines, list(zip(xs, res.values)),
@@ -469,12 +476,8 @@ def cmd_interpolate(c) -> dict:
         log: list = []
         f = continuous_interpolate(lines, c["a0"], c["a1"], c["b0"], c["b1"],
                                    level_log=log)
-        rows = ["x,y,point_id"] + [f"{_fmt17(x)},{_fmt17(y)},{_pid_str(p)}"
-                                   for x, y, p in knot_rows(f)]
-        lv = ["level,lines_added,sup_change"] + \
-             [f"{r.level},{r.lines_added},{_fmt17(r.sup_change)}" for r in log]
-        files = {"function.csv": "\n".join(rows) + "\n",
-                 "levels.csv": "\n".join(lv) + "\n"}
+        files = {"function.csv": _csv("x,y,point_id", f.knots),
+                 "levels.csv": _csv("level,lines_added,sup_change", log)}
         if c["svg"]:
             files["function.svg"] = _plot_function(
                 lines, polyline_geometry(f), "continuous interpolant")
@@ -482,9 +485,7 @@ def cmd_interpolate(c) -> dict:
     if method == "monotone":
         lines = _make_lines(c, interior=False)
         g = monotone_interpolate(lines, start=c["start"])
-        rows = ["x,y,point_id"] + [f"{_fmt17(x)},{_fmt17(y)},{_pid_str(p)}"
-                                   for x, y, p in knot_rows(g)]
-        files = {"function.csv": "\n".join(rows) + "\n",
+        files = {"function.csv": _csv("x,y,point_id", g.breakpoints),
                  "summary.json": _json_text({"sup_norm": g.sup_norm,
                                              "end_value": float(g.values[-1])})}
         if c["svg"]:
@@ -526,14 +527,10 @@ def cmd_lipschitz(c) -> dict:
     ys = lipschitz_feasible(lines, c["k"], (0.0, height))
     summary = {"feasible": ys is not None, "k": c["k"], "width": c["width"],
                "corridor_height": height}
-    files = {"summary.json": _json_text(summary)}
-    rows = ["x,y"]
-    if ys is not None:
-        rows += [f"{_fmt17(ln.x)},{_fmt17(y)}" for ln, y in zip(lines, ys)]
-    files["path.csv"] = "\n".join(rows) + "\n"
+    path = list(zip([ln.x for ln in lines], ys)) if ys is not None else []
+    files = {"summary.json": _json_text(summary), "path.csv": _csv("x,y", path)}
     if c["svg"]:
-        geo = (list(zip([ln.x for ln in lines], ys)) if ys is not None
-               else [(lines[0].x, 0.0), (lines[-1].x, 0.0)])
+        geo = path or [(lines[0].x, 0.0), (lines[-1].x, 0.0)]
         files["path.svg"] = _plot_function(lines, geo, "bounded-step path")
     return files
 
@@ -559,12 +556,8 @@ def cmd_sweep(c) -> dict:
         est = crossing_probability(lam, c["k"], c["width"], height, c["trials"],
                                    base.child("lam", i))
         rows.append((float(lam), est))
-    lines = ["lam,successes,trials,p_hat,ci_lo,ci_hi"]
-    for lam, est in rows:
-        c_lo, c_hi = est.ci95
-        lines.append(f"{_fmt17(lam)},{est.successes},{est.trials},"
-                     f"{_fmt17(est.p_hat)},{_fmt17(c_lo)},{_fmt17(c_hi)}")
-    files = {"sweep.csv": "\n".join(lines) + "\n"}
+    table = [(lam, est.successes, est.trials, est.p_hat, *est.ci95) for lam, est in rows]
+    files = {"sweep.csv": _csv("lam,successes,trials,p_hat,ci_lo,ci_hi", table)}
     if c["svg"]:
         files["sweep.svg"] = _plot_sweep(rows)
     return files
@@ -592,19 +585,15 @@ def cmd_lambda_c(c) -> dict:
                             tol=c["tol"], stream=RngStream(c["seed"]),
                             lam_range=lam_range,
                             corridor_height=c["corridor-height"])
-    br = ["width,lo,hi,midpoint,conclusive,evaluations"]
-    ev = ["width,lam,successes,trials,p_hat"]
-    for rec in res.brackets:
-        br.append(f"{rec.width},{_fmt17(rec.lo)},{_fmt17(rec.hi)},"
-                  f"{_fmt17(rec.midpoint)},{int(rec.conclusive)},{len(rec.evaluations)}")
-        for lam, est in rec.evaluations:
-            ev.append(f"{rec.width},{_fmt17(lam)},{est.successes},{est.trials},"
-                      f"{_fmt17(est.p_hat)}")
+    br = [(r.width, r.lo, r.hi, r.midpoint, r.conclusive, len(r.evaluations))
+          for r in res.brackets]
+    ev = [(r.width, lam, est.successes, est.trials, est.p_hat)
+          for r in res.brackets for lam, est in r.evaluations]
     summary = {"k": res.k, "final_width": res.final.width,
                "bracket_lo": res.final.lo, "bracket_hi": res.final.hi,
                "midpoint": res.final.midpoint, "conclusive": res.final.conclusive}
-    return {"brackets.csv": "\n".join(br) + "\n",
-            "evals.csv": "\n".join(ev) + "\n",
+    return {"brackets.csv": _csv("width,lo,hi,midpoint,conclusive,evaluations", br),
+            "evals.csv": _csv("width,lam,successes,trials,p_hat", ev),
             "summary.json": _json_text(summary)}
 
 
@@ -622,12 +611,11 @@ def cmd_criteria(c) -> dict:
         raise CliError("give exactly one of --family or --terms")
     params = c["family"] if c["family"] is not None else c["terms"]
     diag = series_partial_sums(c["kind"], params, c["cutoffs"], eps=c["eps"])
-    rows = ["cutoff,partial_sum"] + [f"{n},{_fmt17(s)}"
-                                     for n, s in zip(diag.cutoffs, diag.partial_sums)]
     summary = {"kind": diag.kind,
                "growth_exponent_fit": diag.growth_exponent_fit,
                "looks_divergent": diag.looks_divergent}
-    return {"series.csv": "\n".join(rows) + "\n",
+    return {"series.csv": _csv("cutoff,partial_sum",
+                               zip(diag.cutoffs, diag.partial_sums)),
             "summary.json": _json_text(summary)}
 
 
@@ -656,12 +644,11 @@ def cmd_subset(c) -> dict:
     res = extract_divergent_subset(mu, c["target"], phi=phi, phi_inverse=phi_inv,
                                    probe_budget=c["probe-budget"],
                                    search_budget=c["search-budget"])
-    rows = ["block,size,first_member,last_member,certified_bound"]
-    for i, (blk, bound) in enumerate(zip(res.blocks, res.per_block_bounds)):
-        rows.append(f"{i},{blk.size},{int(blk[0])},{int(blk[-1])},{_fmt17(bound)}")
+    rows = [(i, blk.size, blk[0], blk[-1], bound)
+            for i, (blk, bound) in enumerate(zip(res.blocks, res.per_block_bounds))]
     summary = {"eps": res.eps, "total": res.total,
                "n_blocks": len(res.blocks), "n_members": int(res.members.size)}
-    return {"blocks.csv": "\n".join(rows) + "\n",
+    return {"blocks.csv": _csv("block,size,first_member,last_member,certified_bound", rows),
             "summary.json": _json_text(summary)}
 
 
@@ -709,10 +696,9 @@ COVER_OPTS = _COMMON + (
 def cmd_circle_cover(c) -> dict:
     fam = _arc_family(c)
     unc = circle_uncovered(fam)
-    rows = ["start,end"] + [f"{_fmt17(s)},{_fmt17(e)}" for s, e in unc]
     summary = {"n_arcs": len(fam.arcs), "n_uncovered_components": len(unc),
                "uncovered_measure": uncovered_measure(unc)}
-    files = {"uncovered.csv": "\n".join(rows) + "\n",
+    files = {"uncovered.csv": _csv("start,end", unc),
              "summary.json": _json_text(summary)}
     if c["svg"]:
         files["cover.svg"] = _plot_circle(fam, unc)
@@ -735,14 +721,11 @@ SCAN_OPTS = _COMMON + (
 def cmd_rotate_scan(c) -> dict:
     fam = _arc_family(c)
     res = rotating_cover_scan(fam, c["times"])
-    rows = ["t,uncovered_measure,n_uncovered_components"]
-    for t, m, cnt in zip(res.times, res.measures, res.arc_counts):
-        rows.append(f"{_fmt17(t)},{_fmt17(m)},{cnt}")
-    wrows = ["t_start,t_end"] + [f"{_fmt17(a)},{_fmt17(b)}" for a, b in res.windows]
     summary = {"n_arcs": len(fam.arcs), "n_windows": len(res.windows),
                "max_uncovered": max(res.measures) if res.measures else 0.0}
-    return {"scan.csv": "\n".join(rows) + "\n",
-            "windows.csv": "\n".join(wrows) + "\n",
+    return {"scan.csv": _csv("t,uncovered_measure,n_uncovered_components",
+                             zip(res.times, res.measures, res.arc_counts)),
+            "windows.csv": _csv("t_start,t_end", res.windows),
             "summary.json": _json_text(summary)}
 
 
@@ -756,10 +739,9 @@ BROWNIAN_OPTS = _COMMON + (
 def cmd_brownian(c) -> dict:
     path = brownian_path(c["seed"], c["depth"])
     xs, ys = path.grid()
-    rows = ["x,value"] + [f"{_fmt17(x)},{_fmt17(y)}" for x, y in zip(xs, ys)]
     summary = {"depth": path.depth, "tie_count": path.tie_count,
                "end_value": float(ys[-1])}
-    files = {"path.csv": "\n".join(rows) + "\n",
+    files = {"path.csv": _csv("x,value", zip(xs, ys)),
              "summary.json": _json_text(summary)}
     if c["svg"]:
         files["path.svg"] = _plot_path(xs, ys, f"dyadic path, depth {path.depth}")

@@ -9,6 +9,7 @@ certified; the circle tools do exact endpoint arithmetic on arc unions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -345,14 +346,8 @@ def rotating_cover_scan(arcs: ArcFamily, times: Sequence[float],
         measures.append(uncovered_measure(unc))
         counts.append(len(unc))
     windows = []
-    start = None
-    for t, cnt in zip(ts, counts):
-        if cnt > 0 and start is None:
-            start = t
-        elif cnt == 0 and start is not None:
-            windows.append((start, prev))
-            start = None
-        prev = t
-    if start is not None:
-        windows.append((start, ts[-1]))
+    for uncovered, run in itertools.groupby(zip(ts, counts), key=lambda tc: tc[1] > 0):
+        if uncovered:
+            run = list(run)
+            windows.append((run[0][0], run[-1][0]))
     return ScanResult(tuple(ts), tuple(measures), tuple(counts), tuple(windows))

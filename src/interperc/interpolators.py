@@ -55,10 +55,6 @@ class PiecewiseLinearFunction:
     def knot_xs(self) -> np.ndarray:
         return self._xs
 
-    @property
-    def knot_ys(self) -> np.ndarray:
-        return self._ys
-
     def __call__(self, x):
         q = np.asarray(x, dtype=np.float64)
         idx = np.searchsorted(self._xs, q, side="left")
@@ -127,12 +123,6 @@ class LevelRecord(NamedTuple):
     sup_change: float
 
 
-def _check_lines(lines: Sequence[Line]) -> None:
-    xs = [ln.x for ln in lines]
-    if len(set(xs)) != len(xs):
-        raise ValueError("line abscissae must be pairwise distinct")
-
-
 # ---------------------------------------------------------------------------
 # continuous construction
 
@@ -157,7 +147,8 @@ def continuous_interpolate(lines: Sequence[Line], a0: float, a1: float,
         raise ValueError(f"need a0 < a1, got {a0}, {a1}")
     if not all(a0 < ln.x < a1 for ln in lines):
         raise ValueError("line abscissae must lie strictly between a0 and a1")
-    _check_lines(lines)
+    if len({ln.x for ln in lines}) != len(lines):
+        raise ValueError("line abscissae must be pairwise distinct")
 
     # corridor half-height: 2 more than the largest distance-to-origin among
     # lines with a unit void near the origin (and than the endpoint values)
@@ -230,26 +221,6 @@ def monotone_interpolate(lines: Sequence[Line], start: float = 0.0) -> StepFunct
 # bounded-variation traces
 
 
-class _LineHopper:
-    """Memoized up/down jumps on one line (the memo shares work between
-    sign paths that reach the same value)."""
-
-    __slots__ = ("rs", "memo")
-
-    def __init__(self, rs: RealizedSet):
-        self.rs = rs
-        self.memo: dict = {}
-
-    def hop(self, z: float, sign: int):
-        key = (z, sign)
-        got = self.memo.get(key)
-        if got is None:
-            hit = nearest(self.rs, z, "up" if sign > 0 else "down")
-            got = (hit.value, hit.point_id)
-            self.memo[key] = got
-        return got
-
-
 def _weighted(lines, values) -> Optional[float]:
     if not all(isinstance(ln.realized.model, Poisson) for ln in lines):
         return None
@@ -320,7 +291,16 @@ def min_total_variation(lines: Sequence[Line],
     if method not in ("reachable_states", "brute_force"):
         raise ValueError(f"unknown method {method!r}")
     n = len(lines)
-    hoppers = [_LineHopper(ln.realized) for ln in lines]
+    # (line, value, sign) -> jump target, shared by sign paths meeting on a line
+    memo: dict = {}
+
+    def hop(i, g, s):
+        key = (i, g, s)
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = nearest(lines[i].realized, g, "up" if s > 0 else "down").value
+        return v
+
     if method == "brute_force":
         if n > 24:
             raise ValueError("brute_force is limited to 24 lines")
@@ -333,7 +313,7 @@ def min_total_variation(lines: Sequence[Line],
                     best = (cost, tuple(signs))
                 return
             for s in (+1, -1):
-                v, _ = hoppers[i].hop(g, s)
+                v = hop(i, g, s)
                 signs.append(s)
                 walk(i + 1, v, cost + abs(v - g), signs)
                 signs.pop()
@@ -348,7 +328,7 @@ def min_total_variation(lines: Sequence[Line],
         nxt: dict = {}
         for g, (cost, _, _) in layer.items():
             for s in (+1, -1):
-                v, _ = hoppers[i].hop(g, s)
+                v = hop(i, g, s)
                 c = cost + abs(v - g)
                 old = nxt.get(v)
                 if old is None or c < old[0]:
@@ -382,14 +362,7 @@ def weighted_variation_diagnostic(trace: TraceResult,
 
 
 # ---------------------------------------------------------------------------
-# export helpers (the CLI writes the files)
-
-
-def knot_rows(f) -> list:
-    """CSV-ready (x, y, point_id) rows for either function kind."""
-    if isinstance(f, PiecewiseLinearFunction):
-        return list(f.knots)
-    return list(f.breakpoints)
+# plot geometry (the CLI draws the plots)
 
 
 def polyline_geometry(f: PiecewiseLinearFunction) -> list:

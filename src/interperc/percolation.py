@@ -292,18 +292,16 @@ def estimate_lambda_c(k: float, width_schedule: Sequence[int] = (50, 100, 200),
     for width in width_schedule:
         height = corridor_height if corridor_height is not None else float(width) * k
         wstream = stream.child("width", int(width))
-        counter = [0]
+        evals = []
 
         def phat(lam):
-            counter[0] += 1
-            return crossing_probability(lam, k, int(width), height, trials,
-                                        wstream.child("eval", counter[0]))
-        evals = []
+            est = crossing_probability(lam, k, int(width), height, trials,
+                                       wstream.child("eval", len(evals) + 1))
+            evals.append((lam, est))
+            return est
         lo, hi = float(lam_lo), float(lam_hi)
         e_lo = phat(lo)
-        evals.append((lo, e_lo))
         e_hi = phat(hi)
-        evals.append((hi, e_hi))
         if not (e_lo.p_hat < 0.5 <= e_hi.p_hat):
             raise BracketNotFoundError(
                 f"crossing probability is {e_lo.p_hat:.3f} at {lo:g} and "
@@ -312,7 +310,6 @@ def estimate_lambda_c(k: float, width_schedule: Sequence[int] = (50, 100, 200),
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             est = phat(mid)
-            evals.append((mid, est))
             if est.p_hat >= 0.5:
                 hi = mid
             else:

@@ -207,6 +207,7 @@ def _validate_model(model: LineModel) -> None:
 _EMPTY_F = np.empty(0, dtype=np.float64)
 
 
+@dataclass(eq=False, slots=True)
 class RealizedSet:
     """One line's set materialized on a closed window [lo, hi].
 
@@ -216,20 +217,15 @@ class RealizedSet:
     see either kind as its open gaps (see the module docstring).
     """
 
-    __slots__ = ("model", "stream", "window", "values", "_ida", "_idb",
-                 "_tag", "hole_lo", "hole_hi")
-
-    def __init__(self, model, stream, window, values=None, ida=None, idb=None,
-                 tag="", hole_lo=None, hole_hi=None):
-        self.model = model
-        self.stream = stream
-        self.window = window
-        self.values = values
-        self._ida = ida
-        self._idb = idb
-        self._tag = tag
-        self.hole_lo = hole_lo
-        self.hole_hi = hole_hi
+    model: Optional[LineModel]
+    stream: Optional[RngStream]
+    window: tuple
+    values: Optional[np.ndarray] = None
+    _ida: Optional[np.ndarray] = None
+    _idb: Optional[np.ndarray] = None
+    _tag: str = ""
+    hole_lo: Optional[np.ndarray] = None
+    hole_hi: Optional[np.ndarray] = None
 
     @property
     def kind(self) -> str:
@@ -453,7 +449,7 @@ def from_points(points, window) -> RealizedSet:
                        vals, idx, np.zeros(vals.size, dtype=np.int64), "ex")
 
 
-def extend(rs: RealizedSet, new_window: tuple, stream: Optional[RngStream] = None) -> RealizedSet:
+def extend(rs: RealizedSet, new_window: tuple) -> RealizedSet:
     """Re-realize on a superset window; old content is reproduced exactly."""
     lo, hi = float(new_window[0]), float(new_window[1])
     w0, w1 = rs.window
@@ -463,7 +459,7 @@ def extend(rs: RealizedSet, new_window: tuple, stream: Optional[RngStream] = Non
         raise ValueError("explicit point sets cannot be extended")
     if rs.stream is None:
         raise ValueError("derived sets (e.g. thinned) cannot be extended")
-    return realize(rs.model, stream or rs.stream, (lo, hi))
+    return realize(rs.model, rs.stream, (lo, hi))
 
 
 def ensure_window(rs: RealizedSet, lo: float, hi: float) -> RealizedSet:

@@ -20,15 +20,15 @@ def _label(v: float) -> str:
 class Canvas:
     """Fixed-size surface mapping a data rectangle onto screen pixels."""
 
-    def __init__(self, x_range, y_range, width: int = 720, height: int = 480,
-                 margin: int = 48):
+    width = 720
+    height = 480
+    margin = 48
+
+    def __init__(self, x_range, y_range):
         self.x0, self.x1 = float(x_range[0]), float(x_range[1])
         self.y0, self.y1 = float(y_range[0]), float(y_range[1])
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError("canvas ranges must be nonempty intervals")
-        self.width = int(width)
-        self.height = int(height)
-        self.margin = int(margin)
         self._els = []
 
     # data -> screen
@@ -40,24 +40,21 @@ class Canvas:
         t = (float(y) - self.y0) / (self.y1 - self.y0)
         return self.height - self.margin - t * (self.height - 2 * self.margin)
 
-    def polyline(self, xs, ys, stroke: str = "#1f6fb4", width: float = 1.5,
-                 dash: str = "") -> None:
+    def polyline(self, xs, ys, stroke: str = "#1f6fb4", width: float = 1.5) -> None:
         pts = " ".join(f"{_fmt(self.sx(x))},{_fmt(self.sy(y))}"
                        for x, y in zip(xs, ys))
-        extra = f' stroke-dasharray="{dash}"' if dash else ""
         self._els.append(f'<polyline points="{pts}" fill="none" '
-                         f'stroke="{stroke}" stroke-width="{_fmt(width)}"{extra}/>')
+                         f'stroke="{stroke}" stroke-width="{_fmt(width)}"/>')
 
     def circles(self, xs, ys, r: float = 2.5, fill: str = "#c23b22") -> None:
         for x, y in zip(xs, ys):
             self._els.append(f'<circle cx="{_fmt(self.sx(x))}" cy="{_fmt(self.sy(y))}" '
                              f'r="{_fmt(r)}" fill="{fill}"/>')
 
-    def segment(self, xa, ya, xb, yb, stroke: str = "#444444",
-                width: float = 1.0) -> None:
+    def segment(self, xa, ya, xb, yb, stroke: str = "#444444") -> None:
         self._els.append(f'<line x1="{_fmt(self.sx(xa))}" y1="{_fmt(self.sy(ya))}" '
                          f'x2="{_fmt(self.sx(xb))}" y2="{_fmt(self.sy(yb))}" '
-                         f'stroke="{stroke}" stroke-width="{_fmt(width)}"/>')
+                         f'stroke="{stroke}" stroke-width="1"/>')
 
     def rect(self, xa, ya, xb, yb, fill: str = "#999999",
              opacity: float = 1.0) -> None:
@@ -69,10 +66,8 @@ class Canvas:
                          f'height="{_fmt(h)}" fill="{fill}" '
                          f'opacity="{_fmt(opacity)}"/>')
 
-    def text(self, x, y, s: str, size: int = 11, anchor: str = "start",
-             screen: bool = False) -> None:
-        px = x if screen else self.sx(x)
-        py = y if screen else self.sy(y)
+    def text(self, px, py, s: str, size: int = 11, anchor: str = "start") -> None:
+        """Text at screen (pixel) coordinates."""
         s = (str(s).replace("&", "&amp;").replace("<", "&lt;")
              .replace(">", "&gt;"))
         self._els.append(f'<text x="{_fmt(px)}" y="{_fmt(py)}" '
@@ -86,12 +81,12 @@ class Canvas:
         self._els.append(f'<rect x="{m}" y="{m}" width="{w - 2 * m}" '
                          f'height="{h - 2 * m}" fill="none" stroke="#222222" '
                          f'stroke-width="1"/>')
-        self.text(m, h - m + 14, _label(self.x0), anchor="start", screen=True)
-        self.text(w - m, h - m + 14, _label(self.x1), anchor="end", screen=True)
-        self.text(m - 4, h - m, _label(self.y0), anchor="end", screen=True)
-        self.text(m - 4, m + 10, _label(self.y1), anchor="end", screen=True)
+        self.text(m, h - m + 14, _label(self.x0), anchor="start")
+        self.text(w - m, h - m + 14, _label(self.x1), anchor="end")
+        self.text(m - 4, h - m, _label(self.y0), anchor="end")
+        self.text(m - 4, m + 10, _label(self.y1), anchor="end")
         if title:
-            self.text(w / 2, m - 8, title, size=13, anchor="middle", screen=True)
+            self.text(w / 2, m - 8, title, size=13, anchor="middle")
 
     def tostring(self) -> str:
         head = ('<?xml version="1.0" encoding="UTF-8"?>\n'

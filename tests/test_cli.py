@@ -73,11 +73,46 @@ def test_gen_models(tmp_path, monkeypatch, argv):
      "sweep.csv", "a877493996f939d27d57b7c7c2c33a899f8f4ac7e360e8b5b1e6e2aa6329f454"),
     (["lambda-c", "--k", "1", "--widths", "8,16", "--trials", "40", "--seed", "4"],
      "evals.csv", "97e29eefd4081c12d5f0ae265dc92b94adba2f64b1a9252ad46437ab2857370e"),
+    (["interpolate", "--method", "continuous", "--seed", "3", "--count", "10"],
+     "function.csv", "3c57ecb829a47025c88af25d50380de55c95048f9f7489d0da26ab8443b4e4e3"),
+    (["interpolate", "--method", "continuous", "--seed", "3", "--count", "10"],
+     "levels.csv", "683d5b814e60560c9c29e702d1ea9835dd2618cacedb19e9f594a09e47570d78"),
+    (["interpolate", "--method", "bv-greedy", "--seed", "3", "--count", "10"],
+     "trace.csv", "371172eb7f7006db8c7cdd887e3ee208a4a92f850cea555d757f0ced6794be5d"),
+    (["interpolate", "--method", "bv-trace", "--seed", "3", "--count", "5",
+      "--signs", "+-+-+"],
+     "trace.csv", "6ef226317b55b7140b054a9aa589c14b94dd56dbd4cf1a68898e514cfbb569ba"),
+    (["lipschitz", "--k", "1", "--width", "30", "--intensity", "1.5", "--seed", "2"],
+     "path.csv", "720e5bcc185a53e8713a8e6ff66e14b1a57dc10db7442a69b950e44281cdd00a"),
+    (["lipschitz", "--k", "1", "--width", "30", "--intensity", "0.6", "--seed", "2"],
+     "path.csv", "9c6536d38fa37da58fac066342747e6d20fdace12ab5b287cf04506f2afe95b0"),
+    (["lambda-c", "--k", "1", "--widths", "8,16", "--trials", "40", "--seed", "4"],
+     "brackets.csv", "c44192d7b6da4f6f64fec3abb8528d3965b657235137210e4587773249f2f6e7"),
+    (["criteria", "--kind", "reciprocal", "--family", "power:1,1"],
+     "series.csv", "d34af5743191b842fa523b2eebd5306edfdafd0ed264603bb6ae16981eb24128"),
+    (["subset", "--mu", "power:1,-1", "--target", "3", "--phi", "dyadic-reverse",
+      "--probe-budget", "2000"],
+     "blocks.csv", "3ec69d9b911dc46a88e815a97b623e51883fa3d5024339b6df4da934f756e2a1"),
+    (["circle-cover", "--arcs", "0.3@0.1,0.25@0.55,0.3@0.9", "--svg"],
+     "uncovered.csv", "dd4e22598fbb89c2829f17e082f0243e4a4f931af1b8d41e8b9f05031a4a206f"),
+    (["circle-cover", "--arcs", "0.3@0.1,0.25@0.55,0.3@0.9", "--svg"],
+     "cover.svg", "cff2b20002ba67da18127ffa9017d3a7819e7ab5341f83b404de95ac6f4eb93c"),
+    (["rotate-scan", "--count", "6", "--seed", "5", "--times", "0:1:11"],
+     "scan.csv", "158bfe4a352c914e590afe55216637cf89aecfb34dc98f5e5101524450b4594b"),
+    (["rotate-scan", "--count", "6", "--seed", "5", "--times", "0:1:11"],
+     "windows.csv", "ead8cfbf46cdedc2dac107748f44eb54fd39c7b0f44aeb49b2f08986ac215018"),
+    (["brownian", "--seed", "4", "--depth", "9"],
+     "path.csv", "b06b445023da2ab504311b8a14f48583e174c011bafd9fc525f7b6d04fdf9197"),
 ], ids=["poisson", "periodic", "periodic-interval", "renewal", "boolean",
-        "interpolate-monotone", "interpolate-bv-min", "sweep", "lambda-c"])
+        "interpolate-monotone", "interpolate-bv-min", "sweep", "lambda-c",
+        "interpolate-continuous", "interpolate-continuous-levels",
+        "interpolate-bv-greedy", "interpolate-bv-trace", "lipschitz",
+        "lipschitz-infeasible", "lambda-c-brackets", "criteria", "subset",
+        "circle-cover", "circle-cover-svg", "rotate-scan", "rotate-scan-windows",
+        "brownian"])
 def test_gen_csv_digest_pinned(tmp_path, monkeypatch, argv, name, digest):
     """Output bytes are pinned for fixed seeds (numpy 2.x Philox): gen set.csv
-    per model, interpolants carrying point ids, and the sweep/lambda-c tables."""
+    per model, and every CLI table, one or more per command."""
     base = run(tmp_path, monkeypatch, argv)
     with open(base / "out" / name, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
