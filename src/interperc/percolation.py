@@ -27,7 +27,7 @@ class BracketNotFoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo success-probability estimate with a 95% normal CI."""
+    """Monte Carlo success-probability estimate with a 95% Wilson score CI."""
 
     successes: int
     trials: int
@@ -38,9 +38,12 @@ class McEstimate:
 
     @property
     def ci95(self) -> tuple:
-        p = self.p_hat
-        half = 1.96 * math.sqrt(p * (1.0 - p) / self.trials)
-        return (max(0.0, p - half), min(1.0, p + half))
+        """Wilson score interval (Wilson, JASA 1927), clamped to [0, 1]; unlike
+        the normal (Wald) interval it keeps a nonzero width at p_hat = 0 or 1."""
+        n, p, z2 = self.trials, self.p_hat, 1.96 ** 2
+        center = (p + z2 / (2 * n)) / (1.0 + z2 / n)
+        half = 1.96 / (1.0 + z2 / n) * math.sqrt(p * (1.0 - p) / n + z2 / (4 * n * n))
+        return (max(0.0, center - half), min(1.0, center + half))
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,9 @@ def test_gen_models(tmp_path, monkeypatch, argv):
      "trace.csv", "bfeb87cd177c0f3e14c8bd68801e60290b2e42f8a6a86072ea1fa692e8614b58"),
     (["sweep", "--k", "1", "--width", "12", "--lams", "0.5:3:4", "--trials", "40",
       "--seed", "10"],
-     "sweep.csv", "a877493996f939d27d57b7c7c2c33a899f8f4ac7e360e8b5b1e6e2aa6329f454"),
+     "sweep.csv", "c4c37775cb44109c11e107e85f69f6c3be2d520d42a539ac21c7fe7f70ed4f90"),
     (["lambda-c", "--k", "1", "--widths", "8,16", "--trials", "40", "--seed", "4"],
-     "evals.csv", "97e29eefd4081c12d5f0ae265dc92b94adba2f64b1a9252ad46437ab2857370e"),
+     "evals.csv", "e350f7e476fdb7ad84dfa9d69c6e0698b802d0357c1c702dbb51a01525039328"),
     (["interpolate", "--method", "continuous", "--seed", "3", "--count", "10"],
      "function.csv", "3c57ecb829a47025c88af25d50380de55c95048f9f7489d0da26ab8443b4e4e3"),
     (["interpolate", "--method", "continuous", "--seed", "3", "--count", "10"],
@@ -87,7 +87,7 @@ def test_gen_models(tmp_path, monkeypatch, argv):
     (["lipschitz", "--k", "1", "--width", "30", "--intensity", "0.6", "--seed", "2"],
      "path.csv", "9c6536d38fa37da58fac066342747e6d20fdace12ab5b287cf04506f2afe95b0"),
     (["lambda-c", "--k", "1", "--widths", "8,16", "--trials", "40", "--seed", "4"],
-     "brackets.csv", "c44192d7b6da4f6f64fec3abb8528d3965b657235137210e4587773249f2f6e7"),
+     "brackets.csv", "9bfefe885067c94fe94157e9e2355b4afceab751ae8468848b459544a7ed81d3"),
     (["criteria", "--kind", "reciprocal", "--family", "power:1,1"],
      "series.csv", "d34af5743191b842fa523b2eebd5306edfdafd0ed264603bb6ae16981eb24128"),
     (["subset", "--mu", "power:1,-1", "--target", "3", "--phi", "dyadic-reverse",

@@ -10,6 +10,7 @@ from interperc import (
     BooleanComplement,
     BracketNotFoundError,
     Line,
+    McEstimate,
     Periodic,
     Poisson,
     RngStream,
@@ -297,6 +298,17 @@ def test_mc_estimate_ci():
     e = crossing_probability(5.0, 1.0, 4, 6.0, 50, RngStream(1))
     lo, hi = e.ci95
     assert 0.0 <= lo <= e.p_hat <= hi <= 1.0
+
+
+@pytest.mark.parametrize("successes,trials", [(0, 5), (5, 5), (30, 100)])
+def test_mc_estimate_ci_is_wilson(successes, trials):
+    # closed form: (2s + z^2 -/+ z sqrt(z^2 + 4 s (n - s) / n)) / (2 (n + z^2))
+    z, s, n = 1.96, successes, trials
+    root = z * math.sqrt(z * z + 4.0 * s * (n - s) / n)
+    lo, hi = McEstimate(s, n).ci95
+    assert lo == pytest.approx(max(0.0, (2 * s + z * z - root) / (2 * (n + z * z))), abs=1e-12)
+    assert hi == pytest.approx(min(1.0, (2 * s + z * z + root) / (2 * (n + z * z))), abs=1e-12)
+    assert 0.0 <= lo <= s / n <= hi <= 1.0
 
 
 def test_crossing_probability_increases_with_intensity():
