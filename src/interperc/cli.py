@@ -237,12 +237,29 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
+def _listed_outputs(out_dir: str) -> list:
+    """Plain file names (no directory part, not "." or "..") that the
+    manifest.json of an earlier interperc run in out_dir lists as outputs."""
+    try:
+        with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
+            old = json.load(fh)
+    except (OSError, ValueError):
+        return []
+    if not (isinstance(old, dict) and isinstance(old.get("versions"), dict)
+            and "interperc" in old["versions"] and isinstance(old.get("outputs"), dict)):
+        return []
+    return [n for n in old["outputs"] if os.path.basename(n) == n and n not in ("", ".", "..")]
+
+
 def _emit(command: str, out_dir: str, echo: dict, files: dict,
           started: float) -> None:
     """Write output files plus manifest.json and the manifest.log sidecar.
 
     files maps name -> full text content; nothing touches disk until all
     content exists, and a failed write removes everything written so far.
+    After a successful write, the outputs an earlier manifest.json in
+    out_dir listed and this run did not write are removed, so the directory
+    never mixes two runs; no other file is touched.
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
@@ -258,6 +275,7 @@ def _emit(command: str, out_dir: str, echo: dict, files: dict,
     }
     files = dict(files)
     files["manifest.json"] = _json_text(manifest)
+    stale = [name for name in _listed_outputs(out_dir) if name not in files]
     written = []
     try:
         for name in sorted(files):
@@ -272,6 +290,11 @@ def _emit(command: str, out_dir: str, echo: dict, files: dict,
             except OSError:
                 pass
         raise
+    for name in stale:
+        try:
+            os.remove(os.path.join(out_dir, name))
+        except FileNotFoundError:
+            pass
     with open(os.path.join(out_dir, "manifest.log"), "w", encoding="utf-8") as fh:
         fh.write(f"command={command}\nwall_seconds={time.time() - started:.3f}\n")
 

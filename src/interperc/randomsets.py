@@ -40,6 +40,9 @@ _MASK64 = (1 << 64) - 1
 #: stream with a larger window reproduces the same leading draws.
 _RENEWAL_CHUNK = 64
 
+#: realize() refuses a window expected to hold more points or holes than this.
+MAX_REALIZED = 2 ** 24
+
 #: Cap on automatic window growth: nearest() and max_void_radius() may grow
 #: the window to 2**DEFAULT_MAX_DOUBLINGS times the width of the queried
 #: set's window before they give up.
@@ -414,17 +417,38 @@ def _realize_boolean(model, stream, window):
     return hlo[m], hhi[m]
 
 
+def _expected_size(model, width):
+    # expected number of points (point kinds) or holes (interval kinds)
+    if isinstance(model, Poisson):
+        return model.intensity * width
+    if isinstance(model, BooleanComplement):
+        return width + model.arc_length
+    if isinstance(model, RenewalWeibull):
+        # width / mean spacing sqrt(pi) 2**(-level/2); the exponent is capped
+        # so that an absurd level reads as huge instead of overflowing
+        return width * 2.0 ** min(model.level / 2.0, 1000.0) / math.sqrt(math.pi)
+    copies = 1 if model.base_interval is not None else len(model.base_points)
+    return copies * width / abs(model.scale)
+
+
 def realize(model: LineModel, stream: RngStream, window: tuple) -> RealizedSet:
     """Materialize the model's set on the closed window [lo, hi].
 
     Content is a pure function of (model, stream, window) and agrees with
     any realization of the same (model, stream) on overlapping windows.
+    A window expected to hold more than MAX_REALIZED points or holes raises
+    ValueError before anything is drawn.
     """
     _validate_model(model)
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"window must be a finite nonempty interval, got {window}")
     window = (lo, hi)
+    size = _expected_size(model, hi - lo)
+    if size > MAX_REALIZED:
+        raise ValueError(f"realize: {model_label(model)} on window [{lo:g}, {hi:g}] "
+                         f"would hold about {size:.3g} points or holes, above the "
+                         f"cap of {MAX_REALIZED}")
     if isinstance(model, Poisson):
         tag, arrays = "pb", _poisson_arrays(model.intensity, stream, lo, hi)
     elif isinstance(model, RenewalWeibull):

@@ -126,6 +126,23 @@ def test_gen_svg_flag(tmp_path, monkeypatch):
     assert svg.startswith("<?xml") and "<svg" in svg
 
 
+def test_rerun_removes_only_stale_listed_outputs(tmp_path, monkeypatch):
+    argv = ["gen", "--model", "poisson", "--seed", "1", "--window=0,5"]
+    base = run(tmp_path, monkeypatch, argv + ["--svg"])
+    assert os.path.exists(base / "out" / "set.svg")
+    (base / "out" / "notes.txt").write_text("mine\n")
+    (base / "keep.txt").write_text("mine\n")
+    # names with a directory part, "." and ".." are never removed
+    m = manifest(base)
+    m["outputs"].update({"../keep.txt": "", ".": "", "..": ""})
+    (base / "out" / "manifest.json").write_text(json.dumps(m))
+    run(tmp_path, monkeypatch, argv)
+    assert not os.path.exists(base / "out" / "set.svg")
+    assert os.path.exists(base / "out" / "notes.txt")
+    assert os.path.exists(base / "keep.txt")
+    assert sorted(manifest(base)["outputs"]) == ["set.csv"]
+
+
 def test_gen_missing_required(tmp_path, monkeypatch, capsys):
     run(tmp_path, monkeypatch, ["gen", "--model", "poisson", "--seed", "1"],
         expect=1)

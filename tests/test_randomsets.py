@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -305,6 +306,15 @@ def test_growth_budget_follows_the_queried_window():
     rs = extend(realize(Poisson(1e-6), RngStream(1), (-0.5, 0.5)), (-4.0, 4.0))
     with pytest.raises(ExtensionBudgetError, match="cap 8192, initial 8"):
         nearest(rs, 0.0)
+
+
+@pytest.mark.parametrize("model", [Poisson(1e9), RenewalWeibull(80), Periodic(1e-9)],
+                         ids=["poisson", "renewal", "periodic"])
+def test_realize_refuses_oversized_window(model):
+    # each would need ~1e9 points or more; the guard raises before any draw
+    with pytest.raises(ValueError, match=re.escape(f"{model_label(model)} on window [0, 1]")
+                       + r" would hold about \S+ points or holes"):
+        realize(model, RngStream(1), (0.0, 1.0))
 
 
 @pytest.mark.parametrize("query", [
