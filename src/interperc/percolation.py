@@ -59,11 +59,7 @@ def lipschitz_feasible(lines: Sequence[Line], k: float,
     order; infeasibility is certified by an empty reachable set at some
     line, which the forward sweep detects exactly.
     """
-    if k <= 0 or not math.isfinite(k):
-        raise ValueError(f"step bound must be positive and finite, got {k}")
-    lo, hi = float(corridor[0]), float(corridor[1])
-    if not (lo < hi):
-        raise ValueError(f"bad corridor {corridor}")
+    lo, hi = _check_step_and_corridor(k, corridor)
     if not lines:
         raise ValueError("need at least one line")
     band_lo, band_hi = lo - k, hi + k
@@ -86,15 +82,9 @@ def lipschitz_feasible(lines: Sequence[Line], k: float,
         cand = candidates(ln, band_lo, band_hi)
         if cand.size == 0:
             return None
-        pos = np.searchsorted(reach, cand)
-        li = np.clip(pos - 1, 0, reach.size - 1)
-        ri = np.clip(pos, 0, reach.size - 1)
-        dl = np.where(pos > 0, cand - reach[li], np.inf)
-        dr = np.where(pos < reach.size, reach[ri] - cand, np.inf)
-        ok = np.minimum(dl, dr) <= k
+        ok, par = _reach_step(reach, cand, k)
         if not ok.any():
             return None
-        par = np.where(dl <= dr, li, ri)
         kept.append(cand[ok])
         parents.append(par[ok])
         reach = kept[-1]
@@ -105,6 +95,27 @@ def lipschitz_feasible(lines: Sequence[Line], k: float,
         ys.append(float(kept[lvl - 1][j]))
     ys.reverse()
     return ys
+
+
+def _check_step_and_corridor(k, corridor):
+    if k <= 0 or not math.isfinite(k):
+        raise ValueError(f"step bound must be positive and finite, got {k}")
+    lo, hi = float(corridor[0]), float(corridor[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bad corridor {corridor}")
+    return lo, hi
+
+
+def _reach_step(reach, cand, k):
+    """One step of the forward sweep: which of the sorted candidates lie
+    within k of the sorted, nonempty reachable set, and the index of each
+    one's nearest reachable value (ties to the left)."""
+    pad = np.empty(reach.size + 2)
+    pad[0], pad[1:-1], pad[-1] = -np.inf, reach, np.inf
+    pos = reach.searchsorted(cand)
+    dl = cand - pad[pos]         # inf left of reach[0]
+    dr = pad[pos + 1] - cand     # inf right of reach[-1]
+    return np.minimum(dl, dr) <= k, np.where(dl <= dr, pos - 1, pos)
 
 
 def periodic_feasible(intensity: float, k: float) -> bool:
@@ -221,11 +232,13 @@ def directed_crossing(lattice: SiteLattice) -> Optional[list]:
 
 
 def strip_lines(lam, k, width, height, stream, trial):
-    """Poisson lines at x = 1..width for one crossing trial.
+    """Poisson lines at x = 1..width for one crossing trial, each realized
+    on the whole band [-k, height + k].
 
     Each trial and each line gets its own substream, so outcomes are stable
     under rescheduling and under changes of width (a narrower strip's lines
-    are a prefix of a wider one's).
+    are a prefix of a wider one's).  crossing_probability reads the same
+    lines but realizes only the part of each that its sweep can reach.
     """
     ts = stream.child("trial", trial)
     window = (-k, height + k)
@@ -234,20 +247,50 @@ def strip_lines(lam, k, width, height, stream, trial):
             for j in range(1, width + 1)]
 
 
+def _strip_crosses(lam, k, width, height, ts):
+    """lipschitz_feasible(strip_lines(...)) is not None, realizing less.
+
+    The same forward sweep, but each line is realized only where a value
+    could pass the step: line 1 on the corridor [0, height], line j + 1 on
+    the reach of line j widened by k and clipped to the band, and no line
+    after the reach empties.  Realizations are pure functions of (model,
+    stream, window), so every value the full sweep keeps is drawn here too.
+    """
+    band_lo, band_hi = -k, height + k
+    # k plus far more than any rounding of r - c or r +- k, so the window
+    # holds every value the <= k test could keep (|r| <= height + k).
+    reach_pad = k + 1e-9 * (height + 2.0 * k)
+    window = (0.0, height)
+    reach = None
+    for j, line_stream in enumerate(ts.children(("line",), range(1, width + 1)), 1):
+        cand = realize(Poisson(lam, x=float(j)), line_stream, window).values
+        reach = cand if reach is None else cand[_reach_step(reach, cand, k)[0]]
+        if reach.size == 0:
+            return False
+        window = (max(float(reach[0]) - reach_pad, band_lo),
+                  min(float(reach[-1]) + reach_pad, band_hi))
+    return True
+
+
 def crossing_probability(lam: float, k: float, width: int, corridor_height: float,
                          trials: int, stream: RngStream) -> McEstimate:
     """Monte Carlo probability that a width-long Poisson strip is K-feasible.
 
-    Per-trial substreams are pre-split from the given stream by trial index
-    (and by line index inside a trial), so rerunning any subset of trials
-    reproduces its outcomes.
+    Trial t succeeds iff lipschitz_feasible(strip_lines(lam, k, width,
+    corridor_height, stream, t), k, (0, corridor_height)) is not None; the
+    sweep that decides it realizes only the part of each line it reads, and
+    stops at the first line it cannot reach.  Per-trial substreams are
+    pre-split from the given stream by trial index (and by line index inside
+    a trial), so rerunning any subset of trials reproduces its outcomes.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    _, height = _check_step_and_corridor(k, (0.0, corridor_height))
+    if width < 1:
+        raise ValueError("need at least one line")
     successes = 0
-    for t in range(trials):
-        lines = strip_lines(lam, k, width, corridor_height, stream, t)
-        successes += lipschitz_feasible(lines, k, (0.0, corridor_height)) is not None
+    for ts in stream.children(("trial",), range(trials)):
+        successes += _strip_crosses(lam, k, width, height, ts)
     return McEstimate(successes=successes, trials=trials)
 
 

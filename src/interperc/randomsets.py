@@ -30,7 +30,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Optional, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -80,18 +80,38 @@ class RngStream:
 
     def child(self, *tags: Union[int, str]) -> "RngStream":
         """Derive a substream from a tag path of ints and short strings."""
+        return self._derived(self._hasher(tags))
+
+    def children(self, tags: tuple, last: Iterable[Union[int, str]]) -> Iterator["RngStream"]:
+        """Yield child(*tags, t) for each t in last, in order, hashing the
+        shared prefix once."""
+        h = self._hasher(tags)
+        for t in last:
+            hc = h.copy()
+            _hash_tag(hc, t)
+            yield self._derived(hc)
+
+    def _hasher(self, tags):
         h = hashlib.blake2b(digest_size=8)
         h.update(struct.pack("<Q", self.stream_id & _MASK64))
         for t in tags:
-            if isinstance(t, str):
-                b = t.encode()
-                h.update(b"s")
-                h.update(struct.pack("<I", len(b)))
-                h.update(b)
-            else:
-                h.update(b"i")
-                h.update(struct.pack("<q", int(t)))
+            _hash_tag(h, t)
+        return h
+
+    def _derived(self, h) -> "RngStream":
         return RngStream(self.seed, int.from_bytes(h.digest(), "little"))
+
+
+_INT_TAG = struct.Struct("<cq")
+
+
+def _hash_tag(h, t) -> None:
+    # the one tag encoding: b"s" + u32 length + utf-8 bytes, or b"i" + i64
+    if isinstance(t, str):
+        b = t.encode()
+        h.update(b"s" + struct.pack("<I", len(b)) + b)
+    else:
+        h.update(_INT_TAG.pack(b"i", int(t)))
 
 
 _tls = threading.local()
@@ -99,22 +119,22 @@ _tls = threading.local()
 
 def _borrow_generator(stream: RngStream) -> np.random.Generator:
     # Thread-local Philox re-keyed in place; bit-identical to a fresh
-    # Philox(key) but ~3x cheaper to set up.  Borrow only: the generator is
-    # invalidated by the next call on the same thread.
-    pair = getattr(_tls, "gen", None)
-    if pair is None:
+    # Philox(key) but ~15x cheaper to set up.  Borrow only: the generator is
+    # invalidated by the next call on the same thread.  The state setter
+    # copies out of the kept dict, so only its key ever changes: the counter,
+    # buffer and uint32 cache stay those of a fresh Philox.
+    slot = getattr(_tls, "gen", None)
+    if slot is None:
         bg = np.random.Philox(key=0)
-        pair = (bg, np.random.Generator(bg))
-        _tls.gen = pair
-    bg, gen = pair
-    key = stream._key()
-    st = bg.state
-    st["state"]["counter"][:] = 0
-    st["state"]["key"][0] = key & _MASK64
-    st["state"]["key"][1] = (key >> 64) & _MASK64
-    st["buffer_pos"] = 4
-    st["has_uint32"] = 0
-    st["uinteger"] = 0
+        st = {"bit_generator": "Philox",
+              "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+              "has_uint32": 0, "uinteger": 0}
+        slot = _tls.gen = (bg, np.random.Generator(bg), st)
+    bg, gen, st = slot
+    key = st["state"]["key"]
+    key[0] = stream.stream_id & _MASK64
+    key[1] = stream.seed & _MASK64
     bg.state = st
     return gen
 
@@ -302,10 +322,12 @@ def _poisson_arrays(intensity, stream, lo, hi):
     per_block = intensity * bw
     counts = np.empty(ks.size, dtype=np.int64)
     draws = []
-    for j, k in enumerate(ks.tolist()):
-        g = _borrow_generator(stream.child("block", k))
+    for j, block in enumerate(stream.children(("block",), ks.tolist())):
+        g = _borrow_generator(block)
         counts[j] = n = g.poisson(per_block)
-        draws.append(np.sort(g.random(n)))
+        u = g.random(n)
+        u.sort()
+        draws.append(u)
     # a draw's id is (block, rank among the block's sorted draws)
     blocks = np.repeat(ks, counts)
     ranks = np.arange(blocks.size, dtype=np.int64) - np.repeat(counts.cumsum() - counts, counts)
@@ -330,6 +352,9 @@ def _renewal_walk(gen, start, sign, bound, scale):
 def _realize_renewal(model, stream, window):
     lo, hi = window
     c = 2.0 ** (model.level - 2)
+    if c == 0.0:   # underflow below level -1072
+        raise ValueError(f"{model_label(model)}: spacing scale 1/sqrt(2**(level-2)) "
+                         f"is not finite")
     scale = 1.0 / math.sqrt(c)
     g = _borrow_generator(stream.child("main"))
     # Straddling interval: length-biased (density ~ t * f(t)), origin uniform.

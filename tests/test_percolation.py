@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from interperc import (
     scaling_report,
     strip_lines,
 )
+from interperc.percolation import _strip_crosses
 
 
 def explicit_lines(point_lists, window=(-20.0, 20.0), x0=1.0):
@@ -292,6 +294,44 @@ def test_crossing_probability_reproducible_and_thread_invariant():
     est2 = crossing_probability(1.2, 1.0, 12, 12.0, 80, RngStream(99))
     assert est1 == est2
     assert 0 <= est1.successes <= 80
+
+
+# (width, corridor height / k, trials): single lines, pairs, a short and the
+# c10-width strip, and a corridor narrower than one step
+_ORACLE_SHAPES = [(1, 10.0, 8), (2, 10.0, 8), (30, 10.0, 6), (200, 20.0, 4), (30, 0.5, 6)]
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 6.0])
+def test_lazy_crossing_equals_full_sweep(k):
+    outcomes = set()
+    for lam_k, (width, h_k, trials) in itertools.product((0.3, 0.7, 1.0, 1.4, 3.0),
+                                                         _ORACLE_SHAPES):
+        lam, height = lam_k / k, h_k * k
+        stream = RngStream(8100 + width, int(10 * lam_k))
+        full = [lipschitz_feasible(strip_lines(lam, k, width, height, stream, t), k,
+                                   (0.0, height)) is not None for t in range(trials)]
+        lazy = [_strip_crosses(lam, k, width, height, stream.child("trial", t))
+                for t in range(trials)]
+        assert lazy == full, (lam_k, width, h_k)
+        est = crossing_probability(lam, k, width, height, trials, stream)
+        assert est.successes == sum(full)
+        outcomes.update(full)
+    assert outcomes == {True, False}
+
+
+_BAD_STRIPS = [
+    (0.0, 8, 10.0), (-1.0, 8, 10.0), (math.nan, 8, 10.0), (math.inf, 8, 10.0),
+    (1.0, 8, 0.0), (1.0, 8, -3.0), (1.0, 8, math.nan), (1.0, 8, math.inf),
+    (1.0, 0, 10.0),
+]
+
+
+@pytest.mark.parametrize("k,width,height", _BAD_STRIPS)
+def test_crossing_probability_validates_like_lipschitz_feasible(k, width, height):
+    with pytest.raises(ValueError) as want:
+        lipschitz_feasible(explicit_lines([[0.0]] * width), k, (0.0, height))
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        crossing_probability(1.0, k, width, height, 3, RngStream(1))
 
 
 def test_mc_estimate_ci():

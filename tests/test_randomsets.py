@@ -2,8 +2,10 @@
 
 import hashlib
 import io
+import itertools
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from interperc import (
     thin,
     write_csv,
 )
+from interperc.randomsets import _borrow_generator, _poisson_block_width
 
 MODELS = [
     Poisson(intensity=2.0),
@@ -445,6 +448,80 @@ def test_model_validation():
         realize(BooleanComplement(arc_length=1.5), RngStream(1), (0.0, 1.0))
     with pytest.raises(ValueError):
         realize(Poisson(1.0), RngStream(1), (2.0, 1.0))
+
+
+def test_renewal_level_with_infinite_spacing_scale_rejected():
+    # 2**(level-2) underflows to 0 below level -1072, so 1/sqrt of it is inf
+    assert len(realize(RenewalWeibull(-1072), RngStream(1), (0.0, 1.0))) == 0
+    for level in (-1073, -5000):
+        model = RenewalWeibull(level)
+        with pytest.raises(ValueError, match=re.escape(model_label(model))
+                           + r".*spacing scale .* is not finite"):
+            realize(model, RngStream(1), (0.0, 1.0))
+
+
+_DRAWS = {
+    "random": lambda g: g.random(5),
+    "poisson": lambda g: g.poisson(3.7, 5),
+    "standard_exponential": lambda g: g.standard_exponential(5),
+    "gamma": lambda g: g.gamma(1.5, size=5),
+    "int32": lambda g: g.integers(0, 1000, size=5, dtype=np.int32),
+    # leave a half-used 64-bit word (has_uint32) or a partly used buffer
+    "one_int32": lambda g: g.integers(0, 1000, dtype=np.int32),
+    "three_random": lambda g: g.random(3),
+}
+
+
+def test_borrowed_generator_is_a_fresh_philox():
+    used, s = RngStream(3, 11), RngStream(3, 12)
+    for prev, draw in itertools.product(_DRAWS, repeat=2):
+        g = _borrow_generator(used)
+        _DRAWS[prev](g)
+        st = g.bit_generator.state
+        if prev == "one_int32":
+            assert st["has_uint32"] == 1
+        if prev == "three_random":
+            assert st["buffer_pos"] == 3
+        for stream in (s, used):   # a new key, then the key just used again
+            got = _DRAWS[draw](_borrow_generator(stream))
+            want = _DRAWS[draw](np.random.Generator(np.random.Philox(key=stream._key())))
+            assert got.dtype == want.dtype and np.array_equal(got, want), (prev, draw)
+
+
+def _reference_child_id(stream_id, tags):
+    h = hashlib.blake2b(digest_size=8)
+    h.update(struct.pack("<Q", stream_id))
+    for t in tags:
+        if isinstance(t, str):
+            h.update(b"s" + struct.pack("<I", len(t.encode())) + t.encode())
+        else:
+            h.update(b"i" + struct.pack("<q", t))
+    return int.from_bytes(h.digest(), "little")
+
+
+def test_children_equal_child_and_the_tag_encoding():
+    s = RngStream(77, 2 ** 63 + 5)
+    ks = [-2 ** 63, -2 ** 40, -1, 0, 1, 7, 2 ** 40, 2 ** 63 - 1]
+    assert list(s.children(("block",), ks)) == [s.child("block", k) for k in ks]
+    assert list(s.children(("trial", 3, "line"), ["a", -2])) == [
+        s.child("trial", 3, "line", "a"), s.child("trial", 3, "line", -2)]
+    for tags in (("block", -3), ("trial", 0, "line", 200), ("main",), ()):
+        assert s.child(*tags) == RngStream(77, _reference_child_id(s.stream_id, tags))
+
+
+@pytest.mark.parametrize("window", [(-40.0, -8.0), (-8.0, 8.0), (2.0 ** 50, 2.0 ** 50 + 40.0)],
+                         ids=["negative", "zero", "large"])
+def test_poisson_blocks_keyed_by_child_streams(window):
+    # block b: a fresh Philox on child("block", b), Poisson count, sorted uniforms
+    lam, stream = 2.0, RngStream(5, 9)
+    bw = _poisson_block_width(lam)
+    vals = []
+    for b in range(math.floor(window[0] / bw), math.floor(window[1] / bw) + 1):
+        g = np.random.Generator(np.random.Philox(key=stream.child("block", b)._key()))
+        vals.append(np.sort(g.random(g.poisson(lam * bw))) * bw + b * bw)
+    vals = np.concatenate(vals)
+    want = vals[(vals >= window[0]) & (vals <= window[1])]
+    assert np.array_equal(realize(Poisson(lam), stream, window).values, want)
 
 
 def test_rng_child_streams_are_distinct():
