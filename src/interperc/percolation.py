@@ -97,9 +97,13 @@ def lipschitz_feasible(lines: Sequence[Line], k: float,
     return ys
 
 
-def _check_step_and_corridor(k, corridor):
+def _check_step(k):
     if k <= 0 or not math.isfinite(k):
         raise ValueError(f"step bound must be positive and finite, got {k}")
+
+
+def _check_step_and_corridor(k, corridor):
+    _check_step(k)
     lo, hi = float(corridor[0]), float(corridor[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad corridor {corridor}")
@@ -330,6 +334,12 @@ def estimate_lambda_c(k: float, width_schedule: Sequence[int] = (50, 100, 200),
     than tol or when the midpoint's CI straddles 1/2, which is reported as
     inconclusive at this trial budget.
     """
+    _check_step(k)
+    if len(width_schedule) == 0:
+        raise ValueError("need at least one width")
+    for width in width_schedule:
+        if width < 1:
+            raise ValueError(f"need at least one line per strip, got width {width}")
     stream = stream or RngStream(0)
     if lam_range is None:
         lam_range = (0.1 / k, 6.0 / k)

@@ -3,6 +3,8 @@
 Four models are supported: a homogeneous Poisson point process, a scaled
 shifted periodic pattern, a two-sided stationary renewal process with a
 Weibull(2) interarrival law, and the complement of a Boolean arc union.
+Each model is one branch of realize(), which checks its fields, estimates
+its size on the window and picks its realizer, plus one model_label() case.
 
 A realization is a windowed view of a conceptually infinite set.  Content is
 a pure function of (model, stream, window): re-realizing with a larger window
@@ -174,7 +176,8 @@ class RenewalWeibull:
 
     Interarrival times T satisfy P[T <= t] = 1 - exp(-2**(level-2) * t*t).
     The interval straddling the origin is drawn length-biased with a uniform
-    origin position, which is what makes the process stationary.
+    origin position, which is what makes the process stationary.  level must
+    lie in [-1072, 1025], where 2**(level-2) is a positive finite float.
     """
 
     level: int
@@ -192,36 +195,6 @@ class BooleanComplement:
 
 
 LineModel = Union[Poisson, Periodic, RenewalWeibull, BooleanComplement]
-
-
-def _validate_model(model: LineModel) -> None:
-    if isinstance(model, Poisson):
-        if not (math.isfinite(model.intensity) and model.intensity > 0):
-            raise ValueError(f"poisson intensity must be finite and positive, got {model.intensity}")
-    elif isinstance(model, Periodic):
-        if not (math.isfinite(model.scale) and model.scale != 0.0):
-            raise ValueError(f"periodic scale must be finite and nonzero, got {model.scale}")
-        if model.base_interval is not None:
-            a, b = model.base_interval
-            if not (math.isfinite(a) and math.isfinite(b) and a <= b):
-                raise ValueError(f"bad base interval {model.base_interval}")
-        else:
-            if len(model.base_points) == 0:
-                raise ValueError("periodic base needs at least one point")
-            if not all(math.isfinite(c) for c in model.base_points):
-                raise ValueError("periodic base points must be finite")
-        if model.shift is not None and not math.isfinite(model.shift):
-            raise ValueError("periodic shift must be finite")
-    elif isinstance(model, RenewalWeibull):
-        if not isinstance(model.level, int):
-            raise ValueError("renewal level must be an integer")
-    elif isinstance(model, BooleanComplement):
-        if not (math.isfinite(model.arc_length) and 0.0 < model.arc_length < 1.0):
-            raise ValueError(f"arc length must lie in (0, 1), got {model.arc_length}")
-    else:
-        raise TypeError(f"not a line model: {model!r}")
-    if not math.isfinite(model.x):
-        raise ValueError("line abscissa must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +289,10 @@ def _poisson_block_width(intensity: float) -> float:
     return 2.0 ** min(max(e, -40), 40)
 
 
-def _poisson_arrays(intensity, stream, lo, hi):
-    bw = _poisson_block_width(intensity)
+def _realize_poisson(model, stream, lo, hi):
+    bw = _poisson_block_width(model.intensity)
     ks = np.arange(math.floor(lo / bw), math.floor(hi / bw) + 1, dtype=np.int64)
-    per_block = intensity * bw
+    per_block = model.intensity * bw
     counts = np.empty(ks.size, dtype=np.int64)
     draws = []
     for j, block in enumerate(stream.children(("block",), ks.tolist())):
@@ -349,13 +322,8 @@ def _renewal_walk(gen, start, sign, bound, scale):
     return np.concatenate(out)
 
 
-def _realize_renewal(model, stream, window):
-    lo, hi = window
-    c = 2.0 ** (model.level - 2)
-    if c == 0.0:   # underflow below level -1072
-        raise ValueError(f"{model_label(model)}: spacing scale 1/sqrt(2**(level-2)) "
-                         f"is not finite")
-    scale = 1.0 / math.sqrt(c)
+def _realize_renewal(model, stream, lo, hi):
+    scale = 1.0 / math.sqrt(2.0 ** (model.level - 2))
     g = _borrow_generator(stream.child("main"))
     # Straddling interval: length-biased (density ~ t * f(t)), origin uniform.
     length = math.sqrt(g.gamma(1.5)) * scale
@@ -383,8 +351,7 @@ def _periodic_shift(model, stream):
     return float(_borrow_generator(stream.child("shift")).random())
 
 
-def _realize_periodic_points(model, stream, window):
-    lo, hi = window
+def _realize_periodic_points(model, stream, lo, hi):
     shift = _periodic_shift(model, stream)
     s = model.scale
     vals, base_idx, lattice = [], [], []
@@ -404,8 +371,7 @@ def _realize_periodic_points(model, stream, window):
     return v[order], np.concatenate(base_idx)[order], np.concatenate(lattice)[order]
 
 
-def _realize_periodic_interval(model, stream, window):
-    lo, hi = window
+def _realize_periodic_interval(model, stream, lo, hi):
     shift = _periodic_shift(model, stream)
     s = model.scale
     a, b = model.base_interval
@@ -426,11 +392,10 @@ def _realize_periodic_interval(model, stream, window):
     return hlo[m][order], hhi[m][order]
 
 
-def _realize_boolean(model, stream, window):
-    lo, hi = window
+def _realize_boolean(model, stream, lo, hi):
     ell = model.arc_length
     # Any arc whose open interval meets the window starts in [lo - ell, hi].
-    pts, _, _ = _poisson_arrays(1.0, stream, lo - ell, hi)
+    pts, _, _ = _realize_poisson(Poisson(1.0), stream, lo - ell, hi)
     ends = pts + ell
     # pts is sorted, so a run of overlapping arcs ends where an arc starts at
     # or after the previous arc's end (strict: touching arcs leave a set point)
@@ -442,20 +407,6 @@ def _realize_boolean(model, stream, window):
     return hlo[m], hhi[m]
 
 
-def _expected_size(model, width):
-    # expected number of points (point kinds) or holes (interval kinds)
-    if isinstance(model, Poisson):
-        return model.intensity * width
-    if isinstance(model, BooleanComplement):
-        return width + model.arc_length
-    if isinstance(model, RenewalWeibull):
-        # width / mean spacing sqrt(pi) 2**(-level/2); the exponent is capped
-        # so that an absurd level reads as huge instead of overflowing
-        return width * 2.0 ** min(model.level / 2.0, 1000.0) / math.sqrt(math.pi)
-    copies = 1 if model.base_interval is not None else len(model.base_points)
-    return copies * width / abs(model.scale)
-
-
 def realize(model: LineModel, stream: RngStream, window: tuple) -> RealizedSet:
     """Materialize the model's set on the closed window [lo, hi].
 
@@ -464,28 +415,62 @@ def realize(model: LineModel, stream: RngStream, window: tuple) -> RealizedSet:
     A window expected to hold more than MAX_REALIZED points or holes raises
     ValueError before anything is drawn.
     """
-    _validate_model(model)
+    # One branch per model: check its fields, then pick its id tag (None for
+    # interval kinds), its realizer, and its expected points or holes per
+    # unit width (rate) over the window widened by reach.
+    if isinstance(model, Poisson):
+        if not (math.isfinite(model.intensity) and model.intensity > 0):
+            raise ValueError(f"poisson intensity must be finite and positive, got {model.intensity}")
+        tag, draw, rate, reach = "pb", _realize_poisson, model.intensity, 0.0
+    elif isinstance(model, Periodic):
+        if not (math.isfinite(model.scale) and model.scale != 0.0):
+            raise ValueError(f"periodic scale must be finite and nonzero, got {model.scale}")
+        if model.base_interval is not None:
+            a, b = model.base_interval
+            if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+                raise ValueError(f"bad base interval {model.base_interval}")
+            tag, draw, copies = None, _realize_periodic_interval, 1
+        else:
+            if len(model.base_points) == 0:
+                raise ValueError("periodic base needs at least one point")
+            if not all(math.isfinite(c) for c in model.base_points):
+                raise ValueError("periodic base points must be finite")
+            tag, draw, copies = "pg", _realize_periodic_points, len(model.base_points)
+        if model.shift is not None and not math.isfinite(model.shift):
+            raise ValueError("periodic shift must be finite")
+        rate, reach = copies / abs(model.scale), 0.0
+    elif isinstance(model, RenewalWeibull):
+        if not isinstance(model.level, int):
+            raise ValueError("renewal level must be an integer")
+        # the levels where 2**(level-2) is a positive finite float
+        if not -1072 <= model.level <= 1025:
+            raise ValueError(f"{model_label(model)}: level outside [-1072, 1025], where "
+                             f"2**(level-2) or the spacing scale 1/sqrt(2**(level-2)) "
+                             f"is not finite")
+        # one point per mean spacing sqrt(pi) 2**(-level/2)
+        tag, draw, rate, reach = ("rn", _realize_renewal,
+                                  2.0 ** (model.level / 2.0) / math.sqrt(math.pi), 0.0)
+    elif isinstance(model, BooleanComplement):
+        if not (math.isfinite(model.arc_length) and 0.0 < model.arc_length < 1.0):
+            raise ValueError(f"arc length must lie in (0, 1), got {model.arc_length}")
+        # at most one hole per arc that meets the window
+        tag, draw, rate, reach = None, _realize_boolean, 1.0, model.arc_length
+    else:
+        raise TypeError(f"not a line model: {model!r}")
+    if not math.isfinite(model.x):
+        raise ValueError("line abscissa must be finite")
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"window must be a finite nonempty interval, got {window}")
-    window = (lo, hi)
-    size = _expected_size(model, hi - lo)
+    size = rate * (hi - lo + reach)
     if size > MAX_REALIZED:
         raise ValueError(f"realize: {model_label(model)} on window [{lo:g}, {hi:g}] "
                          f"would hold about {size:.3g} points or holes, above the "
                          f"cap of {MAX_REALIZED}")
-    if isinstance(model, Poisson):
-        tag, arrays = "pb", _poisson_arrays(model.intensity, stream, lo, hi)
-    elif isinstance(model, RenewalWeibull):
-        tag, arrays = "rn", _realize_renewal(model, stream, window)
-    elif isinstance(model, Periodic) and model.base_interval is None:
-        tag, arrays = "pg", _realize_periodic_points(model, stream, window)
-    else:
-        holes = (_realize_boolean if isinstance(model, BooleanComplement)
-                 else _realize_periodic_interval)
-        hole_lo, hole_hi = holes(model, stream, window)
-        return RealizedSet(model, stream, window, hole_lo=hole_lo, hole_hi=hole_hi)
-    return RealizedSet(model, stream, window, *arrays, tag)
+    arrays = draw(model, stream, lo, hi)
+    if tag is None:
+        return RealizedSet(model, stream, (lo, hi), hole_lo=arrays[0], hole_hi=arrays[1])
+    return RealizedSet(model, stream, (lo, hi), *arrays, tag)
 
 
 def from_points(points, window) -> RealizedSet:

@@ -10,7 +10,6 @@ suite.
 from __future__ import annotations
 
 import io
-import math
 
 import numpy as np
 

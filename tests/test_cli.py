@@ -126,6 +126,31 @@ def test_gen_svg_flag(tmp_path, monkeypatch):
     assert svg.startswith("<?xml") and "<svg" in svg
 
 
+@pytest.mark.parametrize("extra,config,echo,has_svg", [
+    ([], None, False, False),
+    (["--svg"], None, True, True),
+    ([], "svg = true\n", "true", True),
+    ([], "svg = no\n", "no", False),
+    (["--svg"], "svg = off\n", True, True),
+])
+def test_svg_option_from_flag_or_config(tmp_path, monkeypatch, extra, config, echo, has_svg):
+    # the manifest echoes the flag as a bool and a config value as written
+    argv = ["gen", "--model", "poisson", "--seed", "1", "--window=0,5"] + extra
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    base = run(tmp_path, monkeypatch, argv)
+    assert manifest(base)["config"]["svg"] == echo
+    assert os.path.exists(base / "out" / "set.svg") == has_svg
+
+
+def test_svg_option_bad_config_value(tmp_path, monkeypatch, capsys):
+    (tmp_path / "run.cfg").write_text("svg = maybe\n")
+    run(tmp_path, monkeypatch, ["gen", "--model", "poisson", "--seed", "1", "--window=0,5",
+                                "--config", str(tmp_path / "run.cfg")], expect=1)
+    assert "bad value for --svg: 'maybe'" in capsys.readouterr().err
+
+
 def test_rerun_removes_only_stale_listed_outputs(tmp_path, monkeypatch):
     argv = ["gen", "--model", "poisson", "--seed", "1", "--window=0,5"]
     base = run(tmp_path, monkeypatch, argv + ["--svg"])
@@ -309,6 +334,31 @@ def test_lambda_c_range_needs_both_ends(tmp_path, monkeypatch):
     run(tmp_path, monkeypatch,
         ["lambda-c", "--k", "1", "--widths", "6", "--lam-lo", "0.5",
          "--seed", "13"], expect=1)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--k=0"], "step bound must be positive and finite, got 0.0"),
+    (["--k=-1"], "step bound must be positive and finite, got -1.0"),
+    (["--k=1", "--widths=8,0"], "need at least one line per strip, got width 0"),
+    (["--k=1", "--widths="], "need at least one width"),
+])
+def test_lambda_c_bad_step_or_width_is_input_error(tmp_path, monkeypatch, capsys, argv, message):
+    run(tmp_path, monkeypatch, ["lambda-c", "--seed=1", *argv], expect=1)
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["interpolate", "--method=continuous", "--a0=1", "--a1=0", "--seed=1"],
+     "need a0 < a1, got 1.0, 0.0"),
+    (["interpolate", "--method=monotone", "--intensities=const:-1", "--seed=1"],
+     "poisson intensity must be finite and positive, got -1.0"),
+    (["circle-cover", "--count=5", "--seed=1", "--lengths=const:1.5"],
+     "arc length 1.5 outside (0, 1)"),
+])
+def test_library_checks_are_input_errors(tmp_path, monkeypatch, capsys, argv, message):
+    run(tmp_path, monkeypatch, argv, expect=1)
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "manifest.json")
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,19 @@ def test_estimate_lambda_c_small_run():
     assert again.final.lo == res.final.lo and again.final.hi == res.final.hi
 
 
+@pytest.mark.parametrize("k,widths,message", [
+    (0.0, (8,), "step bound must be positive and finite, got 0.0"),
+    (-2.0, (8,), "step bound must be positive and finite, got -2.0"),
+    (math.inf, (8,), "step bound must be positive and finite, got inf"),
+    (1.0, (0,), "need at least one line per strip, got width 0"),
+    (1.0, (8, -3), "need at least one line per strip, got width -3"),
+    (1.0, (), "need at least one width"),
+])
+def test_estimate_lambda_c_checks_step_and_widths_first(k, widths, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        estimate_lambda_c(k, width_schedule=widths, trials=10)
+
+
 def test_estimate_lambda_c_requires_sign_change():
     with pytest.raises(BracketNotFoundError):
         estimate_lambda_c(1.0, width_schedule=(6,), trials=40, tol=0.2,

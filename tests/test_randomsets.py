@@ -450,6 +450,54 @@ def test_model_validation():
         realize(Poisson(1.0), RngStream(1), (2.0, 1.0))
 
 
+_BAD = (0.0, 1.0)
+
+
+@pytest.mark.parametrize("model,window,exc,message", [
+    (Poisson(-1.0), _BAD, ValueError, "poisson intensity must be finite and positive, got -1.0"),
+    (Poisson(math.nan), _BAD, ValueError, "poisson intensity must be finite and positive, got nan"),
+    (Periodic(0.0), _BAD, ValueError, "periodic scale must be finite and nonzero, got 0.0"),
+    (Periodic(math.inf), _BAD, ValueError, "periodic scale must be finite and nonzero, got inf"),
+    (Periodic(1.0, shift=math.nan), _BAD, ValueError, "periodic shift must be finite"),
+    (Periodic(1.0, base_interval=(0.5, 0.1)), _BAD, ValueError, "bad base interval (0.5, 0.1)"),
+    (Periodic(1.0, base_interval=(0.0, math.inf)), _BAD, ValueError,
+     "bad base interval (0.0, inf)"),
+    (Periodic(1.0, base_points=()), _BAD, ValueError, "periodic base needs at least one point"),
+    (Periodic(1.0, base_points=(0.0, math.nan)), _BAD, ValueError,
+     "periodic base points must be finite"),
+    (RenewalWeibull(2.0), _BAD, ValueError, "renewal level must be an integer"),
+    (BooleanComplement(1.5), _BAD, ValueError, "arc length must lie in (0, 1), got 1.5"),
+    (BooleanComplement(0.0), _BAD, ValueError, "arc length must lie in (0, 1), got 0.0"),
+    (Poisson(1.0, x=math.nan), _BAD, ValueError, "line abscissa must be finite"),
+    (RenewalWeibull(3, x=math.inf), _BAD, ValueError, "line abscissa must be finite"),
+    (Poisson(1.0), (2.0, 1.0), ValueError,
+     "window must be a finite nonempty interval, got (2.0, 1.0)"),
+    # with several bad fields, the first check in this order wins: the
+    # model's own fields, then the abscissa, then the window, then the size
+    (Periodic(0.0, base_points=(), shift=math.nan, x=math.nan), (2.0, 1.0), ValueError,
+     "periodic scale must be finite and nonzero, got 0.0"),
+    (Periodic(1.0, base_points=(), shift=math.nan), _BAD, ValueError,
+     "periodic base needs at least one point"),
+    (Periodic(1.0, base_interval=(1.0, 0.0), shift=math.nan), _BAD, ValueError,
+     "bad base interval (1.0, 0.0)"),
+    (Poisson(-1.0, x=math.nan), (2.0, 1.0), ValueError,
+     "poisson intensity must be finite and positive, got -1.0"),
+    (BooleanComplement(2.0, x=math.nan), _BAD, ValueError,
+     "arc length must lie in (0, 1), got 2.0"),
+    (Poisson(1e9, x=math.nan), (2.0, 1.0), ValueError, "line abscissa must be finite"),
+    (Poisson(1e9), (0.0, math.inf), ValueError,
+     "window must be a finite nonempty interval, got (0.0, inf)"),
+])
+def test_model_check_messages(model, window, exc, message):
+    with pytest.raises(exc, match="^" + re.escape(message) + "$"):
+        realize(model, RngStream(1), window)
+
+
+def test_realize_rejects_a_non_model():
+    with pytest.raises(TypeError, match=r"^not a line model: <object object at "):
+        realize(object(), RngStream(1), (0.0, 1.0))
+
+
 def test_renewal_level_with_infinite_spacing_scale_rejected():
     # 2**(level-2) underflows to 0 below level -1072, so 1/sqrt of it is inf
     assert len(realize(RenewalWeibull(-1072), RngStream(1), (0.0, 1.0))) == 0
@@ -458,6 +506,14 @@ def test_renewal_level_with_infinite_spacing_scale_rejected():
         with pytest.raises(ValueError, match=re.escape(model_label(model))
                            + r".*spacing scale .* is not finite"):
             realize(model, RngStream(1), (0.0, 1.0))
+    # 2**(level-2) overflows above level 1025; a window this small passes
+    # the size cap, so the level check is what refuses it
+    assert len(realize(RenewalWeibull(1025), RngStream(1), (0.0, 1e-152))) > 0
+    for level in (1026, 1100):
+        model = RenewalWeibull(level)
+        with pytest.raises(ValueError, match=re.escape(model_label(model))
+                           + r".*spacing scale .* is not finite"):
+            realize(model, RngStream(1), (0.0, 1e-170))
 
 
 _DRAWS = {
